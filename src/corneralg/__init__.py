@@ -9,8 +9,6 @@ from .checker import (
     check_compressible,
     corner_residual,
     fold_corner,
-    sample_idempotent,
-    sample_projection,
     witness_catalog,
 )
 from .classifier import (
@@ -93,8 +91,6 @@ __all__ = [
     "random_instance",
     "random_similarity",
     "read_algebra",
-    "sample_idempotent",
-    "sample_projection",
     "subspace_from",
     "transpose_variant",
     "unitize",

@@ -9,18 +9,12 @@ through coordinate and random frames) with seeded random trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .matcore import (
-    NumericalFailureError,
-    Tolerance,
-    haar_unitary,
-    random_similarity,
-)
+from .matcore import _RANK_FLOOR, NumericalFailureError, Tolerance, haar_unitary
 from .subalgebra import MatrixAlgebra, closure_defect, subspace_from
 
 __all__ = [
@@ -28,8 +22,6 @@ __all__ = [
     "CheckReport",
     "FoldReport",
     "witness_catalog",
-    "sample_projection",
-    "sample_idempotent",
     "corner_residual",
     "check_compressible",
     "fold_corner",
@@ -127,22 +119,12 @@ def witness_catalog(n: int):
     return out
 
 
-def sample_projection(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    v = haar_unitary(n, rng)[:, :rank]
-    return v @ v.conj().T
-
-
-def sample_idempotent(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    p = sample_projection(n, rank, rng)
-    s = random_similarity(n, rng)
-    return s @ p @ np.linalg.inv(s)
-
-
 def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     """Worst relative closure residual of each corner E_b A E_b.
 
     basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents.
-    Returns (max relative residual, corner dimension) per idempotent.
+    Returns (max relative residual, corner dimension) per idempotent. The
+    corner dimension follows matcore.numerical_rank, batched.
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
@@ -150,16 +132,15 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     corners = eb @ basis[None] @ eb
     cvec = corners.reshape(bsz, d, n * n)
     _, s, vh = np.linalg.svd(cvec, full_matrices=False)
-    lead = np.maximum(tol.rank_eps_factor * s[:, :1], 1e-14)
+    lead = np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)
     rmask = s > lead
     vh_masked = vh * rmask[:, :, None]
     prods = corners[:, :, None] @ corners[:, None, :]
     pvec = prods.reshape(bsz, d * d, n * n)
-    coeffs = pvec @ vh_masked.conj().transpose(0, 2, 1)
-    recon = coeffs @ vh_masked
-    resid = np.linalg.norm(pvec - recon, axis=2)
     scale = np.maximum(1.0, np.linalg.norm(pvec, axis=2))
-    rel = resid / scale
+    # the residual overwrites pvec: one product-sized array is live, not two
+    pvec -= (pvec @ vh_masked.conj().transpose(0, 2, 1)) @ vh_masked
+    rel = np.linalg.norm(pvec, axis=2) / scale
     return rel.max(axis=1), rmask.sum(axis=1)
 
 
@@ -205,8 +186,7 @@ def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
 def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
     """Idempotents for trials t0..t0+bsz-1, one rng substream per trial.
 
-    Draw order per trial matches sample_projection/sample_idempotent exactly;
-    only the QR factorizations and inversions are stacked.
+    The QR factorizations and inversions are stacked over the batch.
     """
     kinds = []
     colmask = np.zeros((bsz, 1, n))
@@ -269,6 +249,8 @@ def check_compressible(
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n = alg.n
     if n < 2:
         return CheckReport(mode=mode, seed=seed, requested_trials=trials, trials_run=0,

@@ -15,20 +15,12 @@ raises ClassifierInconsistencyError instead of silently picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checker import (
-    VIOLATION_RESIDUAL,
-    CheckReport,
-    check_compressible,
-    corner_residual,
-    sample_idempotent,
-    sample_projection,
-)
-from .families import make_family
+from .checker import VIOLATION_RESIDUAL, CheckReport, check_compressible, corner_residual
+from .families import coordinate_projection, make_family
 from .matcore import NumericalFailureError, as_matrix, rank_tol
 from .structure import WedderburnData, _cluster_values, support_columns, wedderburn
 from .subalgebra import MatrixAlgebra, conjugate, generated_algebra, subspace_from, transpose_variant
@@ -118,13 +110,6 @@ def _corner_scalar(stack: np.ndarray, coords) -> bool:
     return bool(np.linalg.norm(g - c * np.eye(m)) <= 1e-7)
 
 
-def _coordinate_projection(n: int, coords) -> np.ndarray:
-    p = np.zeros((n, n), dtype=np.complex128)
-    for i in coords:
-        p[i, i] = 1.0
-    return p
-
-
 def _model_lr(n: int, p_frame: np.ndarray, q_frame: np.ndarray, tol):
     """Span of I and P M Q, with P, Q given by orthonormal frames."""
     mats = [np.eye(n, dtype=np.complex128)]
@@ -211,13 +196,8 @@ def _find_witness(alg: MatrixAlgebra, wd: WedderburnData | None, seed: int):
             if hit is not None:
                 return hit
     # random fallback, directly in the original coordinates
-    for k in range(1536):
-        sub = np.random.default_rng([seed, 4243, k])
-        rank = 1 + k % (n - 1)
-        e = sample_projection(n, rank, sub) if k % 2 == 0 else sample_idempotent(n, rank, sub)
-        if corner_residual(alg, e) > VIOLATION_RESIDUAL:
-            return e
-    return None
+    hit = check_compressible(alg, trials=1536, seed=seed, use_catalog=False).first_violation()
+    return None if hit is None else hit.witness
 
 
 # ---------------------------------------------------------------- decision tree
@@ -278,24 +258,37 @@ def _case_one_big_block(alg, wd, k: int):
         return _Route(family=None, type_path="unique-k-defect")
 
     # the outer scalar classes are linked: corner-module test
-    sub12 = rstack[np.ix_(range(rstack.shape[0]), g1, g2)] if wd.rad.dim else np.zeros((0, n1, d))
-    sub23 = rstack[np.ix_(range(rstack.shape[0]), g2, g3)] if wd.rad.dim else np.zeros((0, d, n3))
-    c1 = support_columns(list(sub12), "col", alg.tol) if r12 else np.zeros((n1, 0))
-    c3 = support_columns(list(sub23), "row", alg.tol) if r23 else np.zeros((n3, 0))
+    return _corner_module_route(alg, wd, rstack, (g1, g2, g3), r12, r23, "unique-k")
+
+
+def _corner_module_route(alg, wd, rstack, groups, r12: int, r23: int, prefix: str):
+    """Corner-module test for linked outer groups g1, g3 around the middle g2.
+
+    Matches the unhinged algebra against span(I, P M Q), P over g1's radical
+    column support plus g2, Q over g2 plus g3's row support; the route is
+    `{prefix}-lr` on a match and `{prefix}-defect` otherwise.
+    """
+    n = alg.n
+    g1, g2, g3 = groups
+    d = len(g2)
+    idx = range(rstack.shape[0])
+    c1 = (support_columns(list(rstack[np.ix_(idx, g1, g2)]), "col", alg.tol) if r12
+          else np.zeros((len(g1), 0)))
+    c3 = (support_columns(list(rstack[np.ix_(idx, g2, g3)]), "row", alg.tol) if r23
+          else np.zeros((len(g3), 0)))
     c1_full = np.zeros((n, c1.shape[1]), dtype=np.complex128)
     c1_full[g1, :] = c1
     c3_full = np.zeros((n, c3.shape[1]), dtype=np.complex128)
     c3_full[g3, :] = c3
-    p_frame = np.hstack([c1_full, _frame_from_coords(n, g2)])
-    q_frame = np.hstack([_frame_from_coords(n, g2), c3_full])
-    model = _model_lr(n, p_frame, q_frame, alg.tol)
+    mid = _frame_from_coords(n, g2)
+    model = _model_lr(n, np.hstack([c1_full, mid]), np.hstack([mid, c3_full]), alg.tol)
     if model.equals(wd.unhinged.space):
         r1, r3 = c1.shape[1], c3.shape[1]
-        layout = _complete_frame(n, np.hstack([c1_full, _frame_from_coords(n, g2), c3_full]))
+        layout = _complete_frame(n, np.hstack([c1_full, mid, c3_full]))
         return _Route(family="LR_UNITAL",
                       params={"ranks": (r1 + d, d + r3), "overlap": d},
-                      type_path="unique-k-lr", layout=layout)
-    return _Route(family=None, type_path="unique-k-defect")
+                      type_path=f"{prefix}-lr", layout=layout)
+    return _Route(family=None, type_path=f"{prefix}-defect")
 
 
 def _special_positions(ustack: np.ndarray, n: int):
@@ -352,23 +345,7 @@ def _case_three_groups(alg, wd, k: int):
         return _Route(family=None, type_path="three-groups-defect")
     if cls1 == cls3 and cls1 != cls2:
         # corner-module test with a rank-one middle
-        sub12 = rstack[np.ix_(range(rstack.shape[0]), g1, [k])] if wd.rad.dim else np.zeros((0, n1, 1))
-        sub23 = rstack[np.ix_(range(rstack.shape[0]), [k], g3)] if wd.rad.dim else np.zeros((0, 1, n3))
-        c1 = support_columns(list(sub12), "col", alg.tol) if r12 else np.zeros((n1, 0))
-        c3 = support_columns(list(sub23), "row", alg.tol) if r23 else np.zeros((n3, 0))
-        c1_full = np.zeros((n, c1.shape[1]), dtype=np.complex128)
-        c1_full[g1, :] = c1
-        c3_full = np.zeros((n, c3.shape[1]), dtype=np.complex128)
-        c3_full[g3, :] = c3
-        ek = _frame_from_coords(n, [k])
-        model = _model_lr(n, np.hstack([c1_full, ek]), np.hstack([ek, c3_full]), alg.tol)
-        if model.equals(wd.unhinged.space):
-            r1, r3 = c1.shape[1], c3.shape[1]
-            layout = _complete_frame(n, np.hstack([c1_full, ek, c3_full]))
-            return _Route(family="LR_UNITAL",
-                          params={"ranks": (r1 + 1, 1 + r3), "overlap": 1},
-                          type_path="three-groups-lr", layout=layout)
-        return _Route(family=None, type_path="three-groups-defect")
+        return _corner_module_route(alg, wd, rstack, (g1, [k], g3), r12, r23, "three-groups")
     return _Route(family=None, type_path="single-class-defect")
 
 
@@ -410,7 +387,7 @@ def _case_split(alg, wd):
     # two classes: full-corner form, or a rank-one overlap pinned at coordinate 0
     if rp == a and rq == n - a:
         model_mats = [np.eye(n, dtype=np.complex128),
-                      _coordinate_projection(n, left), _coordinate_projection(n, right)]
+                      coordinate_projection(n, left), coordinate_projection(n, right)]
         for i in left:
             for j in right:
                 m = np.zeros((n, n), dtype=np.complex128)
@@ -539,12 +516,7 @@ def _attach_check(alg, verdict: Verdict, wd, trials: int, seed: int) -> Verdict:
             f"certificate for {verdict.family} ({verdict.type_path}) contradicted by a "
             f"corner violation of residual {report.first_violation().residual:.2e}"
         )
-    return Verdict(
-        compressible=verdict.compressible, n=verdict.n, dim=verdict.dim,
-        family=verdict.family, variant=verdict.variant, params=verdict.params,
-        type_path=verdict.type_path, t=verdict.t, similarity=verdict.similarity,
-        witness=verdict.witness, check=report, seed=verdict.seed,
-    )
+    return replace(verdict, check=report)
 
 
 def classify(

@@ -19,22 +19,21 @@ __all__ = [
     "NumericalFailureError",
     "ShapeMismatchError",
     "as_matrix",
-    "adjoint",
     "frob",
-    "frob_inner",
     "vec",
     "unvec",
     "svd_factor",
+    "numerical_rank",
     "rank_tol",
     "orthonormal_span",
-    "gram",
     "haar_unitary",
     "random_similarity",
 ]
 
-# Absolute floor for rank thresholds, so the zero matrix has rank 0 instead of
-# dividing by sigma_max = 0.
-_RANK_FLOOR = 1e-14
+# Absolute floor for rank thresholds. Below it a singular value is roundoff
+# whatever sigma_max is: commutators inside a commutative algebra come out at
+# about 1.4e-14, and a floor of 1e-14 would count them as rank.
+_RANK_FLOOR = 1e-13
 
 
 class NumericalFailureError(RuntimeError):
@@ -74,17 +73,8 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
-
-
 def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
-
-
-def frob_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """<X, Y> = Tr(Y* X)."""
-    return complex(np.vdot(y, x))
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -115,13 +105,21 @@ def svd_factor(x) -> SVD:
     return SVD(u, s, vh.conj().T)
 
 
-def rank_tol(x, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above max(rank_eps_factor*sigma_max, floor)."""
-    s = svd_factor(x).s
+def numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """Count of the descending singular values s above max(rank_eps_factor*s[0], floor).
+
+    The package's rank policy: every rank cut by rank_eps_factor goes through
+    it, and the corner kernel applies it batched.
+    """
     if s.size == 0 or s[0] == 0.0:
         return 0
     thr = max(tol.rank_eps_factor * float(s[0]), _RANK_FLOOR)
     return int(np.count_nonzero(s > thr))
+
+
+def rank_tol(x, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Numerical rank of a matrix under numerical_rank's policy."""
+    return numerical_rank(svd_factor(x).s, tol)
 
 
 def _phase_fix(rows: np.ndarray) -> np.ndarray:
@@ -155,21 +153,9 @@ def orthonormal_span(
         if m.shape != (r, c):
             raise ShapeMismatchError("mixed shapes in span input")
     stack = np.array([vec(m) for m in mats])
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    thr = max(tol.rank_eps_factor * float(s[0]), _RANK_FLOOR)
-    rank = int(np.count_nonzero(s > thr))
-    basis = _phase_fix(vh[:rank])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    basis = _phase_fix(vh[:numerical_rank(s, tol)])
     return [unvec(row, r, c) for row in basis]
-
-
-def gram(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Gram matrix G[i, j] = <m_i, m_j> under the Frobenius inner product."""
-    if not mats:
-        return np.zeros((0, 0), dtype=np.complex128)
-    stack = np.array([vec(m) for m in mats])
-    return stack @ stack.conj().T
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

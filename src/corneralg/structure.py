@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .matcore import (
-    DEFAULT_TOL,
-    NumericalFailureError,
-    Tolerance,
-    orthonormal_span,
-    rank_tol,
-    svd_factor,
-)
+from .matcore import DEFAULT_TOL, NumericalFailureError, Tolerance, numerical_rank
 from .subalgebra import MatrixAlgebra, MatrixSubspace, membership_residuals, subspace_from
 
 __all__ = [
@@ -127,12 +120,8 @@ def radical(alg: MatrixAlgebra) -> MatrixSubspace:
         return MatrixSubspace(n=alg.n, basis=(), tol=alg.tol)
     b = np.array(alg.basis)
     g = np.einsum("iab,jba->ij", b, b)
-    u, s, vh = np.linalg.svd(g)
-    if s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(alg.tol.rank_eps_factor * float(s[0]), 1e-13)))
-    null = vh[rank:].conj()
+    _, s, vh = np.linalg.svd(g)
+    null = vh[numerical_rank(s, alg.tol):].conj()
     mats = [np.tensordot(c, b, axes=(0, 0)) for c in null]
     return subspace_from(mats, n=alg.n, tol=alg.tol) if mats else MatrixSubspace(
         n=alg.n, basis=(), tol=alg.tol
@@ -144,9 +133,12 @@ def _unital_algebra(mats: Sequence[np.ndarray], n: int, tol: Tolerance) -> Matri
     return MatrixAlgebra(space=subspace_from(mats, n=n, tol=tol), unital=True)
 
 
-def _cluster_values(vals: np.ndarray, tol_abs: float):
-    """Greedy union of values closer than tol_abs; returns list of index lists."""
-    k = len(vals)
+def _union_classes(k: int, linked_pairs) -> list:
+    """Connected components of range(k) under the given (i, j) links.
+
+    Each component is an ascending index list; components come in the order
+    of their smallest member.
+    """
     parent = list(range(k))
 
     def find(i):
@@ -155,27 +147,26 @@ def _cluster_values(vals: np.ndarray, tol_abs: float):
             i = parent[i]
         return i
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(vals[i] - vals[j]) <= tol_abs:
-                ri, rj = find(i), find(j)
-            else:
-                continue
-            if ri != rj:
-                parent[ri] = rj
+    for i, j in linked_pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
-    out = list(groups.values())
+    return list(groups.values())
+
+
+def _cluster_values(vals: np.ndarray, tol_abs: float):
+    """Greedy union of values closer than tol_abs; returns list of index lists."""
+    k = len(vals)
+    out = _union_classes(
+        k, ((i, j) for i in range(k) for j in range(i + 1, k)
+            if abs(vals[i] - vals[j]) <= tol_abs)
+    )
     # deterministic order: by representative eigenvalue
     out.sort(key=lambda g: (round(vals[g[0]].real, 6), round(vals[g[0]].imag, 6)))
     return out
-
-
-def _complement_frame(w: np.ndarray, m: int) -> np.ndarray:
-    """Unitary whose first columns span ran(w)."""
-    u_full, s, _ = np.linalg.svd(w, full_matrices=True)
-    return u_full
 
 
 def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Tolerance) -> np.ndarray:
@@ -200,7 +191,7 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
         # the range of the radical is a proper invariant subspace
         cols = np.hstack([r for r in rad.basis])
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        r = int(np.count_nonzero(s > max(tol.rank_eps_factor * float(s[0]), 1e-13)))
+        r = numerical_rank(s, tol)
         w = u[:, :r]
         if r == 0 or r >= m:
             raise NumericalFailureError("degenerate radical range")
@@ -227,7 +218,7 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
     v = vecs[:, groups[0][0]]
     orbit = np.einsum("iab,b->ai", b, v)
     u, s, _ = np.linalg.svd(orbit, full_matrices=False)
-    r = int(np.count_nonzero(s > max(tol.rank_eps_factor * float(s[0]), 1e-13)))
+    r = numerical_rank(s, tol)
     if r >= m or r == 0:
         raise NumericalFailureError("cyclic subspace is not proper")
     w = u[:, :r]
@@ -241,12 +232,8 @@ def _center_coeffs(b: np.ndarray, tol: Tolerance):
     d, m, _ = b.shape
     comms = np.einsum("kab,ibc->kiac", b, b) - np.einsum("iab,kbc->kiac", b, b)
     sys = comms.reshape(d, d * m * m).T
-    u, s, vh = np.linalg.svd(sys, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(tol.rank_eps_factor * float(s[0]), 1e-13)))
-    return [row.conj() for row in vh[rank:]]
+    _, s, vh = np.linalg.svd(sys, full_matrices=False)
+    return [row.conj() for row in vh[numerical_rank(s, tol):]]
 
 
 def _eigencluster_frame(zm: np.ndarray, rng: np.random.Generator, want_proper: bool) -> np.ndarray:
@@ -274,7 +261,8 @@ def _build_flag(stack: np.ndarray, rng: np.random.Generator, tol: Tolerance):
     k = w.shape[1]
     if k == m:
         return np.eye(m, dtype=np.complex128), [m]
-    v = _complement_frame(w, m)
+    # unitary whose first k columns span ran(w)
+    v = np.linalg.svd(w, full_matrices=True)[0]
     comp = v[:, k:]
     sub = np.einsum("pa,iab,bq->ipq", comp.conj().T, stack, comp)
     u_rest, sizes_rest = _build_flag(sub, rng, tol)
@@ -291,10 +279,7 @@ def _diag_block_stacks(stack: np.ndarray, sizes, offsets):
 
 
 def _stack_rank(flat: np.ndarray, tol: Tolerance) -> int:
-    u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > max(tol.rank_eps_factor * float(s[0]), 1e-13)))
+    return numerical_rank(np.linalg.svd(flat, full_matrices=False)[1], tol)
 
 
 def _linkage_classes(diag_stacks, sizes, tol: Tolerance):
@@ -323,30 +308,15 @@ def _linkage_classes(diag_stacks, sizes, tol: Tolerance):
     for i in range(k):
         for j in range(i + 1, k):
             pairwise[(i, j)] = linked(i, j)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (i, j), is_linked in pairwise.items():
-        if is_linked:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    classes: dict = {}
-    for i in range(k):
-        classes.setdefault(find(i), []).append(i)
+    classes = _union_classes(k, (pair for pair, is_linked in pairwise.items() if is_linked))
     # linkage must be transitive; anything else is a numerical artifact
-    for members in classes.values():
+    for members in classes:
         for a in range(len(members)):
             for c in range(a + 1, len(members)):
                 i, j = members[a], members[c]
                 if not pairwise[(i, j)]:
                     raise NumericalFailureError("linkage relation is not transitive")
-    out = sorted((tuple(sorted(m)) for m in classes.values()), key=lambda t: t[0])
+    out = sorted((tuple(sorted(m)) for m in classes), key=lambda t: t[0])
     return tuple(out)
 
 
@@ -417,10 +387,7 @@ def support_columns(mats: Sequence[np.ndarray], side: str, tol: Tolerance = DEFA
     else:
         raise ValueError(f"unknown side {side!r}")
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    r = int(np.count_nonzero(s > max(tol.rank_eps_factor * float(s[0]), 1e-13)))
-    return u[:, :r]
+    return u[:, :numerical_rank(s, tol)]
 
 
 def _riesz_projection(a: np.ndarray, labels: np.ndarray, width: float) -> np.ndarray:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from corneralg.checker import (
+    _corner_residual_batch,
+    _sample_batch,
     check_compressible,
     corner_residual,
     fold_corner,
-    sample_idempotent,
-    sample_projection,
     witness_catalog,
 )
 from corneralg.families import make_family, random_instance
+from corneralg.matcore import DEFAULT_TOL
 from corneralg.subalgebra import algebra_from_span
 
 
@@ -158,14 +159,63 @@ def test_projection_mode_only_samples_projections():
 
 
 def test_samplers_produce_idempotents():
-    rng = np.random.default_rng(6)
-    for rank in (1, 2, 3):
-        p = sample_projection(4, rank, rng)
-        assert np.linalg.norm(p @ p - p) < 1e-12
-        assert abs(np.trace(p).real - rank) < 1e-9
-        e = sample_idempotent(4, rank, rng)
+    es, kinds = _sample_batch(4, "idempotent", seed=6, t0=0, bsz=12)
+    for t, (e, kind) in enumerate(zip(es, kinds)):
+        assert kind == ("idempotent" if t % 2 else "projection")
         assert np.linalg.norm(e @ e - e) < 1e-10
-        assert abs(np.trace(e).real - rank) < 1e-8
+        assert abs(np.trace(e).real - (1 + t % 3)) < 1e-8
+        if kind == "projection":
+            assert np.linalg.norm(e - e.conj().T) < 1e-12
+    # one substream per trial: a later window redraws the same idempotents
+    later, _ = _sample_batch(4, "idempotent", seed=6, t0=5, bsz=4)
+    assert np.allclose(later, es[5:9], rtol=0, atol=1e-14)
+
+
+def test_negative_trials_rejected():
+    alg = make_family("DIAGONAL", 4)
+    with pytest.raises(ValueError, match="trials"):
+        check_compressible(alg, trials=-5, use_catalog=False)
+    # zero trials runs the catalog alone
+    report = check_compressible(alg, trials=0)
+    assert report.trials_run == 0 and report.catalog_corners > 0
+
+
+def _kernel_before_shared_floor(basis, es, rank_eps_factor):
+    """The corner kernel as it was with its own 1e-14 rank floor and a
+    temporary for pvec - recon; kept as the reference for the current one."""
+    bsz, n, _ = es.shape
+    d = basis.shape[0]
+    eb = es[:, None]
+    corners = eb @ basis[None] @ eb
+    cvec = corners.reshape(bsz, d, n * n)
+    _, s, vh = np.linalg.svd(cvec, full_matrices=False)
+    lead = np.maximum(rank_eps_factor * s[:, :1], 1e-14)
+    rmask = s > lead
+    vh_masked = vh * rmask[:, :, None]
+    prods = corners[:, :, None] @ corners[:, None, :]
+    pvec = prods.reshape(bsz, d * d, n * n)
+    coeffs = pvec @ vh_masked.conj().transpose(0, 2, 1)
+    recon = coeffs @ vh_masked
+    resid = np.linalg.norm(pvec - recon, axis=2)
+    scale = np.maximum(1.0, np.linalg.norm(pvec, axis=2))
+    rel = resid / scale
+    return rel.max(axis=1), rmask.sum(axis=1)
+
+
+@pytest.mark.parametrize("tag,kw", [
+    ("EX1", {"ranks": (1, 2, 2)}),
+    ("FULL", {}),
+    ("LR_UNITAL", {"ranks": (3, 2), "overlap": 1}),
+    ("DIAGONAL", {}),
+])
+def test_corner_kernel_matches_reference_formula(tag, kw):
+    alg = random_instance(make_family(tag, 5, **kw), "similarity", seed=8)
+    basis = np.array(alg.basis)
+    es, _ = _sample_batch(5, "idempotent", seed=1, t0=0, bsz=64)
+    rel, rank = _corner_residual_batch(basis, es, DEFAULT_TOL)
+    ref_rel, ref_rank = _kernel_before_shared_floor(basis, es, DEFAULT_TOL.rank_eps_factor)
+    assert np.array_equal(rel, ref_rel)
+    assert np.array_equal(rank, ref_rank)
 
 
 # ---------------------------------------------------------------- folding

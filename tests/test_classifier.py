@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from corneralg import classifier
 from corneralg.checker import corner_residual
 from corneralg.classifier import certify, classify, classify_generated
 from corneralg.families import make_family, random_instance
@@ -221,6 +222,17 @@ def test_refutation_witness_deterministic_for_fixed_seed():
     v2 = classify(linked_pair(), seed=2)
     assert v1.type_path == v2.type_path
     assert np.allclose(v1.witness, v2.witness, atol=1e-12)
+
+
+def test_witness_fallback_samples_through_the_checker(monkeypatch):
+    # with no structured candidates the search falls back to random corners
+    monkeypatch.setattr(classifier, "_coupling_candidates", lambda n, rng: iter(()))
+    alg = random_instance(make_family("DIAGONAL", 4), "similarity", seed=5)
+    e = classifier._find_witness(alg, None, seed=0)
+    assert e is not None
+    assert np.linalg.norm(e @ e - e) < 1e-8
+    assert corner_residual(alg, e) > 1e-6
+    assert classifier._find_witness(make_family("EX1", 4), None, seed=0) is None
 
 
 # ---------------------------------------------------------------- replay audit

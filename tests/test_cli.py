@@ -152,6 +152,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
     bad.write_text("not json")
     rc, _ = run(capsys, "check", str(bad))
     assert rc == 2
+    good = tmp_path / "good.json"
+    run(capsys, "gen", "--family", "DIAGONAL", "--n", "4", "-o", str(good))
+    rc, _ = run(capsys, "check", str(good), "--trials", "-5")
+    assert rc == 2
     rc, _ = run(capsys, "gen", "--family", "EX1", "--n", "4",
                 "--ranks", "1,x", "-o", str(tmp_path / "o.json"))
     assert rc == 2

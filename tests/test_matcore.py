@@ -9,12 +9,10 @@ from corneralg.matcore import (
     DEFAULT_TOL,
     ShapeMismatchError,
     Tolerance,
-    adjoint,
     as_matrix,
     frob,
-    frob_inner,
-    gram,
     haar_unitary,
+    numerical_rank,
     orthonormal_span,
     random_similarity,
     rank_tol,
@@ -40,16 +38,6 @@ def test_tolerance_validation():
         Tolerance(rank_eps_factor=-1e-9)
 
 
-def test_frob_inner_is_trace_form():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    # <X, Y> = Tr(Y* X), computed here the slow way.
-    expected = np.trace(adjoint(y) @ x)
-    assert abs(frob_inner(x, y) - expected) < 1e-12
-    assert abs(frob(x) ** 2 - frob_inner(x, x).real) < 1e-10
-
-
 def test_vec_unvec_row_major_round_trip():
     m = np.arange(12).reshape(3, 4).astype(np.complex128)
     v = vec(m)
@@ -62,7 +50,7 @@ def test_svd_factor_reconstructs():
     for shape in [(5, 5), (3, 6), (6, 2)]:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         u, s, v = svd_factor(x)
-        assert np.allclose(u @ np.diag(s) @ adjoint(v), x, atol=1e-12)
+        assert np.allclose(u @ np.diag(s) @ v.conj().T, x, atol=1e-12)
         assert np.all(np.diff(s) <= 0)
 
 
@@ -84,6 +72,18 @@ def test_rank_tol_relative_cutoff():
     assert rank_tol(np.diag([1e6, 1e-4])) == 1
 
 
+def test_numerical_rank_policy():
+    assert numerical_rank(np.zeros(0), DEFAULT_TOL) == 0
+    assert numerical_rank(np.zeros(3), DEFAULT_TOL) == 0
+    # relative cutoff: rank_eps_factor * sigma_max
+    assert numerical_rank(np.array([1e6, 2e-3, 1e-4]), DEFAULT_TOL) == 2
+    assert numerical_rank(np.array([1.0, 0.5]), Tolerance(rank_eps_factor=0.6)) == 1
+    # absolute floor: a roundoff-only spectrum, such as the commutators of a
+    # commutative algebra, has rank 0 whatever the relative cutoff says
+    assert numerical_rank(np.array([2e-14, 1.4e-14]), DEFAULT_TOL) == 0
+    assert numerical_rank(np.array([1e-3, 2e-13, 5e-14]), Tolerance(rank_eps_factor=1e-12)) == 2
+
+
 def test_orthonormal_span_drops_dependent_directions():
     a = np.eye(3)
     mats = [a, 2.0 * a, np.zeros((3, 3))]
@@ -99,11 +99,11 @@ def test_orthonormal_span_is_orthonormal_and_spans():
     mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(6)]
     basis = orthonormal_span(mats)
     assert len(basis) == 6
-    g = gram(basis)
-    assert np.allclose(g, np.eye(6), atol=1e-10)
-    # each input is recovered by its Frobenius expansion in the basis
+    stack = np.array([vec(b) for b in basis])
+    assert np.allclose(stack @ stack.conj().T, np.eye(6), atol=1e-10)
+    # each input is recovered by its Frobenius expansion <m, b> = Tr(b* m)
     for m in mats:
-        recon = sum(frob_inner(m, b) * b for b in basis)
+        recon = sum(np.vdot(b, m) * b for b in basis)
         assert frob(recon - m) < 1e-10 * frob(m)
 
 
@@ -128,7 +128,7 @@ def test_orthonormal_span_deterministic():
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
 def test_haar_unitary_is_unitary(n, seed):
     u = haar_unitary(n, np.random.default_rng(seed))
-    assert np.allclose(adjoint(u) @ u, np.eye(n), atol=1e-12)
+    assert np.allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
 
 
 def test_haar_unitary_deterministic_per_seed():
@@ -142,11 +142,3 @@ def test_haar_unitary_deterministic_per_seed():
 def test_random_similarity_condition_bound(n, seed):
     s = random_similarity(n, np.random.default_rng(seed))
     assert np.linalg.cond(s) <= 50.0 * (1 + 1e-9)
-
-
-def test_gram_hermitian_psd():
-    rng = np.random.default_rng(5)
-    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    g = gram(mats)
-    assert np.allclose(g, adjoint(g), atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(g)) > -1e-10

@@ -14,7 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .matcore import _RANK_FLOOR, NumericalFailureError, Tolerance, haar_unitary
+from .matcore import (
+    _RANK_FLOOR,
+    NumericalFailureError,
+    ShapeMismatchError,
+    Tolerance,
+    as_matrix,
+    haar_unitary,
+)
 from .subalgebra import MatrixAlgebra, closure_defect, subspace_from
 
 __all__ = [
@@ -119,36 +126,70 @@ def witness_catalog(n: int):
     return out
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the rows of a complex (B, rows, cols) stack."""
+    f = x.view(np.float64)
+    return np.sqrt(np.einsum("bij,bij->bi", f, f))
+
+
 def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     """Worst relative closure residual of each corner E_b A E_b.
 
     basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents.
-    Returns (max relative residual, corner dimension) per idempotent. The
-    corner dimension follows matcore.numerical_rank, batched.
+    Returns (max relative residual, corner dimension) per idempotent.
+
+    Each corner is tested in its own k x k frame, k = rank E. With the
+    compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
+    M -> U M V* is a Frobenius isometry, so the span, its rank and every
+    relative residual are those of the C_a. As E is idempotent, the product
+    (E a E)(E b E) = E a E b E maps to D_a C_b with D_a = S V* a U, and the
+    d^2 products of one corner are one (dk x k)(k x dk) GEMM. The ranks of
+    E and of the corner span follow matcore.numerical_rank, batched.
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
-    eb = es[:, None]
-    corners = eb @ basis[None] @ eb
-    cvec = corners.reshape(bsz, d, n * n)
-    _, s, vh = np.linalg.svd(cvec, full_matrices=False)
-    lead = np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)
-    rmask = s > lead
-    vh_masked = vh * rmask[:, :, None]
-    prods = corners[:, :, None] @ corners[:, None, :]
-    pvec = prods.reshape(bsz, d * d, n * n)
-    scale = np.maximum(1.0, np.linalg.norm(pvec, axis=2))
-    # the residual overwrites pvec: one product-sized array is live, not two
-    pvec -= (pvec @ vh_masked.conj().transpose(0, 2, 1)) @ vh_masked
-    rel = np.linalg.norm(pvec, axis=2) / scale
-    return rel.max(axis=1), rmask.sum(axis=1)
+    u, s, vh = np.linalg.svd(es)
+    ranks = (s > np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)).sum(axis=1)
+    rel = np.zeros(bsz)
+    dims = np.zeros(bsz, dtype=np.intp)
+    # bt[p, (a, q)] = a[p, q]: then S V* a U for every a is two plain GEMMs
+    bt = basis.transpose(1, 0, 2).reshape(n, d * n)
+    groups = set(ranks.tolist())
+    for k in groups - {0}:
+        # a catalog batch or a single corner has one rank: no gather needed
+        sel = slice(None) if len(groups) == 1 else ranks == k
+        sk = s[sel, :k]
+        svab = (sk[:, :, None] * vh[sel, :k]) @ bt
+        m = svab.shape[0]
+        # dlay[:, (i, a), l] = D_a[i, l]; clay[:, i, a, j] = C_a[i, j]
+        dlay = svab.reshape(m, k * d, n) @ u[sel, :, :k]
+        clay = dlay.reshape(m, k, d, k) * sk[:, None, None, :]
+        _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, k * k),
+                                   full_matrices=False)
+        cmask = cs > np.maximum(tol.rank_eps_factor * cs[:, :1], _RANK_FLOOR)
+        cvh *= cmask[:, :, None]
+        # prods[:, (i, a), (b, j)] = (D_a C_b)[i, j], one GEMM per corner
+        prods = dlay @ clay.reshape(m, k, d * k)
+        pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, k * k)
+        scale = np.maximum(1.0, _row_norms(pvec))
+        pvec -= (pvec @ cvh.conj().transpose(0, 2, 1)) @ cvh
+        rel[sel] = (_row_norms(pvec) / scale).max(axis=1)
+        dims[sel] = cmask.sum(axis=1)
+    return rel, dims
+
+
+def _basis_stack(alg: MatrixAlgebra) -> np.ndarray:
+    """(d, n, n) view of the algebra's cached basis rows; equal to np.array(alg.basis)."""
+    return alg.space.vecs.reshape(alg.dim, alg.n, alg.n)
 
 
 def corner_residual(alg: MatrixAlgebra, e) -> float:
-    """Relative closure residual of the single corner {E a E}."""
-    e = np.asarray(e, dtype=np.complex128)
-    basis = np.array(alg.basis)
-    rel, _ = _corner_residual_batch(basis, e[None, :, :], alg.tol)
+    """Relative closure residual of the single corner {E a E}; E is an n x n idempotent."""
+    e = as_matrix(e)
+    n = alg.n
+    if e.shape != (n, n):
+        raise ShapeMismatchError(f"corner of M_{n} needs an {n} x {n} idempotent, got {e.shape}")
+    rel, _ = _corner_residual_batch(_basis_stack(alg), e[None], alg.tol)
     return float(rel[0])
 
 
@@ -160,7 +201,7 @@ def _natural_frames(n: int, s: int, u: np.ndarray | None):
 
 
 def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
-    basis = np.array(alg.basis)
+    basis = _basis_stack(alg)
     n = alg.n
     corners = 0
     for size in sorted({m for m in (3, 4) if m <= n}):
@@ -255,7 +296,7 @@ def check_compressible(
     if n < 2:
         return CheckReport(mode=mode, seed=seed, requested_trials=trials, trials_run=0,
                            catalog_corners=0, indeterminate=0, violations=())
-    basis = np.array(alg.basis)
+    basis = _basis_stack(alg)
     collect = _Collector()
     catalog_corners = 0
     if use_catalog:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from corneralg.checker import (
+    PASS_RESIDUAL,
+    VIOLATION_RESIDUAL,
     _corner_residual_batch,
+    _natural_frames,
     _sample_batch,
     check_compressible,
     corner_residual,
@@ -12,7 +15,7 @@ from corneralg.checker import (
     witness_catalog,
 )
 from corneralg.families import make_family, random_instance
-from corneralg.matcore import DEFAULT_TOL
+from corneralg.matcore import _RANK_FLOOR, ShapeMismatchError, haar_unitary
 from corneralg.subalgebra import algebra_from_span
 
 
@@ -180,16 +183,17 @@ def test_negative_trials_rejected():
     assert report.trials_run == 0 and report.catalog_corners > 0
 
 
-def _kernel_before_shared_floor(basis, es, rank_eps_factor):
-    """The corner kernel as it was with its own 1e-14 rank floor and a
-    temporary for pvec - recon; kept as the reference for the current one."""
+def _reference_corner_kernel(basis, es, rank_eps_factor):
+    """The corner kernel on full n x n corners: the products (E a E)(E b E)
+    formed one by one, span, ranks and residuals on vectorized n x n
+    matrices. Kept as the reference for the k x k kernel."""
     bsz, n, _ = es.shape
     d = basis.shape[0]
     eb = es[:, None]
     corners = eb @ basis[None] @ eb
     cvec = corners.reshape(bsz, d, n * n)
     _, s, vh = np.linalg.svd(cvec, full_matrices=False)
-    lead = np.maximum(rank_eps_factor * s[:, :1], 1e-14)
+    lead = np.maximum(rank_eps_factor * s[:, :1], _RANK_FLOOR)
     rmask = s > lead
     vh_masked = vh * rmask[:, :, None]
     prods = corners[:, :, None] @ corners[:, None, :]
@@ -202,6 +206,23 @@ def _kernel_before_shared_floor(basis, es, rank_eps_factor):
     return rel.max(axis=1), rmask.sum(axis=1)
 
 
+def _band(rel):
+    """0: pass, 1: indeterminate, 2: violation."""
+    return (rel > PASS_RESIDUAL).astype(int) + (rel > VIOLATION_RESIDUAL)
+
+
+def _assert_kernel_matches_reference(alg, es):
+    # a change of frame moves roundoff, so residuals agree to 1e-12, not bitwise;
+    # ranks and the pass / indeterminate / violation band must not move
+    basis = np.array(alg.basis)
+    rel, rank = _corner_residual_batch(basis, es, alg.tol)
+    ref_rel, ref_rank = _reference_corner_kernel(basis, es, alg.tol.rank_eps_factor)
+    assert np.array_equal(rank, ref_rank)
+    assert np.max(np.abs(rel - ref_rel)) <= 1e-12
+    assert np.array_equal(_band(rel), _band(ref_rel))
+    return rel, rank
+
+
 @pytest.mark.parametrize("tag,kw", [
     ("EX1", {"ranks": (1, 2, 2)}),
     ("FULL", {}),
@@ -210,12 +231,56 @@ def _kernel_before_shared_floor(basis, es, rank_eps_factor):
 ])
 def test_corner_kernel_matches_reference_formula(tag, kw):
     alg = random_instance(make_family(tag, 5, **kw), "similarity", seed=8)
-    basis = np.array(alg.basis)
-    es, _ = _sample_batch(5, "idempotent", seed=1, t0=0, bsz=64)
-    rel, rank = _corner_residual_batch(basis, es, DEFAULT_TOL)
-    ref_rel, ref_rank = _kernel_before_shared_floor(basis, es, DEFAULT_TOL.rank_eps_factor)
-    assert np.array_equal(rel, ref_rel)
-    assert np.array_equal(rank, ref_rank)
+    for mode in ("idempotent", "projection"):
+        es, _ = _sample_batch(5, mode, seed=1, t0=0, bsz=64)
+        _assert_kernel_matches_reference(alg, es)
+
+
+def test_corner_kernel_matches_reference_on_a_full_chunk():
+    # LR(4,6,4) at n=6 has d=25, the corpus's largest corner stack;
+    # check_compressible runs it in chunks of 177 trials
+    alg = random_instance(make_family("LR_UNITAL", 6, ranks=(4, 6), overlap=4), "similarity",
+                          seed=3)
+    assert alg.dim == 25
+    es, _ = _sample_batch(6, "idempotent", seed=5, t0=0, bsz=177)
+    _assert_kernel_matches_reference(alg, es)
+
+
+def test_corner_kernel_matches_reference_on_catalog_frames():
+    # the catalog pass sends one batch per entry, every corner of one rank
+    rng = np.random.default_rng(21)
+    compressible = random_instance(make_family("EX1", 6, ranks=(2, 2, 2)), "similarity", seed=2)
+    for alg, expected_bands in ((compressible, {0}), (two_jordan_cells(), {0, 2})):
+        n = alg.n
+        frames = _natural_frames(n, 4, haar_unitary(n, rng))
+        frames += [haar_unitary(n, rng)[:, :4] for _ in range(6)]
+        bands = set()
+        for _, p in witness_catalog(4):
+            es = np.array([f @ p @ f.conj().T for f in frames])
+            rel, _ = _assert_kernel_matches_reference(alg, es)
+            bands |= set(_band(rel).tolist())
+        assert bands == expected_bands
+
+
+def test_corner_kernel_zero_and_identity_corners():
+    # one batch mixing E = 0, ranks 1..n-1 and E = I: several rank groups
+    n = 5
+    alg = random_instance(make_family("EX1", n, ranks=(1, 2, 2)), "similarity", seed=8)
+    es, _ = _sample_batch(n, "idempotent", seed=4, t0=0, bsz=n - 1)
+    es = np.concatenate([np.zeros((1, n, n), dtype=np.complex128), es,
+                         np.eye(n, dtype=np.complex128)[None]])
+    rel, rank = _assert_kernel_matches_reference(alg, es)
+    assert rel[0] == 0.0 and rank[0] == 0
+    assert rank[-1] == alg.dim
+    assert np.all(rank[1:] > 0)
+
+
+def test_corner_residual_rejects_a_misshapen_idempotent():
+    alg = make_family("DIAGONAL", 4)
+    with pytest.raises(ShapeMismatchError):
+        corner_residual(alg, np.ones(4))
+    with pytest.raises(ShapeMismatchError):
+        corner_residual(alg, np.eye(3))
 
 
 # ---------------------------------------------------------------- folding
@@ -239,8 +304,6 @@ def test_fold_corner_closed_on_compressible_families():
 
 
 def test_fold_corner_random_frames_on_compressible():
-    from corneralg.matcore import haar_unitary
-
     alg = random_instance(make_family("EX2", 6), "unitary", seed=4)
     rng = np.random.default_rng(13)
     for _ in range(3):

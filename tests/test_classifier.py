@@ -7,11 +7,17 @@ import pytest
 
 from corneralg import classifier
 from corneralg.checker import corner_residual
-from corneralg.classifier import certify, classify, classify_generated
+from corneralg.classifier import (
+    ClassifierInconsistencyError,
+    certify,
+    classify,
+    classify_generated,
+)
 from corneralg.families import make_family, random_instance
-from corneralg.matcore import haar_unitary
+from corneralg.matcore import haar_unitary, random_similarity
 from corneralg.subalgebra import (
     algebra_from_span,
+    conjugate,
     generated_algebra,
     transpose_variant,
     unitize,
@@ -233,6 +239,17 @@ def test_witness_fallback_samples_through_the_checker(monkeypatch):
     assert np.linalg.norm(e @ e - e) < 1e-8
     assert corner_residual(alg, e) > 1e-6
     assert classifier._find_witness(make_family("EX1", 4), None, seed=0) is None
+
+
+@pytest.mark.xfail(strict=True, raises=ClassifierInconsistencyError,
+                   reason="misroute to three-groups-defect at condition 3702, an open fault")
+def test_lr_unital_under_an_ill_conditioned_similarity_is_certified():
+    # a compressible algebra that routes to three-groups-defect and finds no
+    # replaying witness; the checker passes it over 2000 trials
+    s = random_similarity(5, np.random.default_rng([22, 77]), max_cond=1e4)
+    alg = conjugate(make_family("LR_UNITAL", 5, ranks=(3, 1), overlap=1), s)
+    v = classify(alg, cross_validate=False)
+    assert v.compressible and certify(alg, v)
 
 
 # ---------------------------------------------------------------- replay audit

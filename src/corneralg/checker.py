@@ -141,10 +141,14 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     Each corner is tested in its own k x k frame, k = rank E. With the
     compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
     M -> U M V* is a Frobenius isometry, so the span, its rank and every
-    relative residual are those of the C_a. As E is idempotent, the product
-    (E a E)(E b E) = E a E b E maps to D_a C_b with D_a = S V* a U, and the
-    d^2 products of one corner are one (dk x k)(k x dk) GEMM. The ranks of
-    E and of the corner span follow matcore.numerical_rank, batched.
+    relative residual are those of the C_a. A corner whose span has rank
+    k^2 is all of M_k, an algebra: residual 0 with no products formed. For
+    the others, as E is idempotent, the product (E a E)(E b E) = E a E b E
+    maps to D_a C_b with D_a = S V* a U, the d^2 products of one corner are
+    one (dk x k)(k x dk) GEMM, and a product's distance from the span is the
+    norm of its coordinates on the right singular vectors of the C_a stack
+    past the span's rank. The ranks of E and of the corner span follow
+    matcore.numerical_rank, batched.
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
@@ -156,6 +160,7 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     bt = basis.transpose(1, 0, 2).reshape(n, d * n)
     groups = set(ranks.tolist())
     for k in groups - {0}:
+        kk = k * k
         # a catalog batch or a single corner has one rank: no gather needed
         sel = slice(None) if len(groups) == 1 else ranks == k
         sk = s[sel, :k]
@@ -164,17 +169,32 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
         # dlay[:, (i, a), l] = D_a[i, l]; clay[:, i, a, j] = C_a[i, j]
         dlay = svab.reshape(m, k * d, n) @ u[sel, :, :k]
         clay = dlay.reshape(m, k, d, k) * sk[:, None, None, :]
-        _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, k * k),
-                                   full_matrices=False)
-        cmask = cs > np.maximum(tol.rank_eps_factor * cs[:, :1], _RANK_FLOOR)
-        cvh *= cmask[:, :, None]
+        # the complement of the span needs all k^2 right singular vectors
+        _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, kk),
+                                   full_matrices=d < kk)
+        r = (cs > np.maximum(tol.rank_eps_factor * cs[:, :1], _RANK_FLOOR)).sum(axis=1)
+        dims[sel] = r
+        if d >= kk:
+            # d matrices span all of M_k only if d >= k^2
+            full = np.count_nonzero(r == kk)
+            if full == m:
+                continue
+            if full:
+                keep = r < kk
+                sel = np.arange(bsz)[sel][keep]
+                dlay, clay, cvh, r = dlay[keep], clay[keep], cvh[keep], r[keep]
+                m = len(r)
+        # rows lo..k^2 of cvh, with those in a corner's own span zeroed
+        lo = r.min()
+        comp = cvh[:, lo:]
+        if r.max() > lo:
+            comp = comp * (np.arange(lo, kk) >= r[:, None])[:, :, None]
         # prods[:, (i, a), (b, j)] = (D_a C_b)[i, j], one GEMM per corner
         prods = dlay @ clay.reshape(m, k, d * k)
-        pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, k * k)
+        pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, kk)
         scale = np.maximum(1.0, _row_norms(pvec))
-        pvec -= (pvec @ cvh.conj().transpose(0, 2, 1)) @ cvh
-        rel[sel] = (_row_norms(pvec) / scale).max(axis=1)
-        dims[sel] = cmask.sum(axis=1)
+        resid = _row_norms(pvec @ comp.conj().transpose(0, 2, 1))
+        rel[sel] = (resid / scale).max(axis=1)
     return rel, dims
 
 
@@ -227,37 +247,34 @@ def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
 def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
     """Idempotents for trials t0..t0+bsz-1, one rng substream per trial.
 
-    The QR factorizations and inversions are stacked over the batch.
+    A trial draws its Gaussians in one call: the real and imaginary parts of
+    one complex n x n matrix for a projection, of three for an idempotent,
+    which then draws its condition number. The QR factorizations of the
+    matrices in use and the inversions are stacked over the batch.
     """
-    kinds = []
-    colmask = np.zeros((bsz, 1, n))
-    gin = np.empty((bsz, 3, n, n), dtype=np.complex128)
-    conds = np.ones(bsz)
-    idem = np.zeros(bsz, dtype=bool)
-    for k in range(bsz):
-        t = t0 + k
+    ts = np.arange(t0, t0 + bsz)
+    idem = (ts % 2 == 1) & (mode != "projection")
+    gauss = np.empty((bsz, 6, n, n))
+    conds = []
+    for k, (t, twisted) in enumerate(zip(ts.tolist(), idem.tolist())):
         rng = np.random.default_rng([seed, t])
-        colmask[k, 0, : 1 + t % (n - 1)] = 1.0
-        gin[k, 0] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if mode != "projection" and t % 2 == 1:
-            idem[k] = True
-            gin[k, 1] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            gin[k, 2] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            conds[k] = rng.uniform(1.0, 50.0)
-        else:
-            gin[k, 1] = np.eye(n)
-            gin[k, 2] = np.eye(n)
-        kinds.append("idempotent" if idem[k] else "projection")
-    q, r = np.linalg.qr(gin.reshape(bsz * 3, n, n))
+        rng.standard_normal(out=gauss[k, : 6 if twisted else 2])
+        if twisted:
+            conds.append(rng.uniform(1.0, 50.0))
+    twist = gauss[idem, 2:]
+    gin = np.concatenate([gauss[:, 0] + 1j * gauss[:, 1],
+                          (twist[:, 0::2] + 1j * twist[:, 1::2]).reshape(-1, n, n)])
+    q, r = np.linalg.qr(gin)
     d = np.diagonal(r, axis1=1, axis2=2)
-    q = (q * (d / np.abs(d))[:, None, :]).reshape(bsz, 3, n, n)
-    v = q[:, 0] * colmask
+    q = q * (d / np.abs(d))[:, None, :]
+    v = q[:bsz] * (np.arange(n) < 1 + ts[:, None, None] % (n - 1))
     es = v @ v.conj().transpose(0, 2, 1)
-    if np.any(idem):
-        sing = np.geomspace(1.0, conds[idem], n, axis=-1)
-        s = (q[idem, 1] * sing[:, None, :]) @ q[idem, 2]
+    if conds:
+        qt = q[bsz:].reshape(-1, 2, n, n)
+        sing = np.geomspace(1.0, np.array(conds), n, axis=-1)
+        s = (qt[:, 0] * sing[:, None, :]) @ qt[:, 1]
         es[idem] = s @ es[idem] @ np.linalg.inv(s)
-    return es, kinds
+    return es, ["idempotent" if i else "projection" for i in idem.tolist()]
 
 
 class _Collector:

@@ -478,11 +478,14 @@ def _build_verdict(alg, route: _Route, wd, seed: int, t_value: complex | None):
 
 def certify(alg: MatrixAlgebra, verdict: Verdict) -> bool:
     """Independently replay a verdict: span equality for certificates,
-    corner residual for witnesses."""
+    idempotency and corner residual for witnesses."""
     if not verdict.compressible:
         if verdict.witness is None:
             return False
-        return corner_residual(alg, verdict.witness) > VIOLATION_RESIDUAL
+        w = as_matrix(verdict.witness)
+        # the corner test presumes E^2 = E; a matrix that is not idempotent refutes nothing
+        return (corner_residual(alg, w) > VIOLATION_RESIDUAL
+                and np.linalg.norm(w @ w - w) <= 1e-8 * max(1.0, np.linalg.norm(w) ** 2))
     if verdict.family is None or verdict.similarity is None:
         return False
     kwargs = {}

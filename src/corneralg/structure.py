@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import DEFAULT_TOL, NumericalFailureError, Tolerance, numerical_rank
 from .subalgebra import MatrixAlgebra, MatrixSubspace, membership_residuals, subspace_from
@@ -392,6 +391,10 @@ def support_columns(mats: Sequence[np.ndarray], side: str, tol: Tolerance = DEFA
 
 def _riesz_projection(a: np.ndarray, labels: np.ndarray, width: float) -> np.ndarray:
     """Spectral projection of a onto the eigenvalues within width of the labels."""
+    # imported here: scipy is most of the package's import time, and many
+    # decisions never build a Riesz projection
+    import scipy.linalg
+
     n = a.shape[0]
 
     def sel(lam):

@@ -1,5 +1,7 @@
 """Witness catalog, randomized corner trials, folding."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from corneralg.checker import (
 )
 from corneralg.families import make_family, random_instance
 from corneralg.matcore import _RANK_FLOOR, ShapeMismatchError, haar_unitary
-from corneralg.subalgebra import algebra_from_span
+from corneralg.subalgebra import algebra_from_span, generated_algebra
 
 
 def eij(n, i, j):
@@ -174,6 +176,52 @@ def test_samplers_produce_idempotents():
     assert np.allclose(later, es[5:9], rtol=0, atol=1e-14)
 
 
+def _reference_sample_batch(n, mode, seed, t0, bsz):
+    """The sampler with two Gaussian draws per complex matrix and a QR of three
+    matrices per trial, identities padding a projection. Kept as the reference
+    for the one-draw sampler, whose output must be bit-identical."""
+    kinds = []
+    colmask = np.zeros((bsz, 1, n))
+    gin = np.empty((bsz, 3, n, n), dtype=np.complex128)
+    conds = np.ones(bsz)
+    idem = np.zeros(bsz, dtype=bool)
+    for k in range(bsz):
+        t = t0 + k
+        rng = np.random.default_rng([seed, t])
+        colmask[k, 0, : 1 + t % (n - 1)] = 1.0
+        gin[k, 0] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if mode != "projection" and t % 2 == 1:
+            idem[k] = True
+            gin[k, 1] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            gin[k, 2] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            conds[k] = rng.uniform(1.0, 50.0)
+        else:
+            gin[k, 1] = np.eye(n)
+            gin[k, 2] = np.eye(n)
+        kinds.append("idempotent" if idem[k] else "projection")
+    q, r = np.linalg.qr(gin.reshape(bsz * 3, n, n))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = (q * (d / np.abs(d))[:, None, :]).reshape(bsz, 3, n, n)
+    v = q[:, 0] * colmask
+    es = v @ v.conj().transpose(0, 2, 1)
+    if np.any(idem):
+        sing = np.geomspace(1.0, conds[idem], n, axis=-1)
+        s = (q[idem, 1] * sing[:, None, :]) @ q[idem, 2]
+        es[idem] = s @ es[idem] @ np.linalg.inv(s)
+    return es, kinds
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("mode", ["idempotent", "projection"])
+def test_sampler_matches_reference_bitwise(n, mode):
+    for t0 in (0, 177, 256):
+        for bsz in (1, 4, 200):
+            es, kinds = _sample_batch(n, mode, seed=9, t0=t0, bsz=bsz)
+            ref_es, ref_kinds = _reference_sample_batch(n, mode, 9, t0, bsz)
+            assert np.array_equal(es, ref_es), (t0, bsz)
+            assert kinds == ref_kinds
+
+
 def test_negative_trials_rejected():
     alg = make_family("DIAGONAL", 4)
     with pytest.raises(ValueError, match="trials"):
@@ -273,6 +321,42 @@ def test_corner_kernel_zero_and_identity_corners():
     assert rel[0] == 0.0 and rank[0] == 0
     assert rank[-1] == alg.dim
     assert np.all(rank[1:] > 0)
+
+
+def test_corner_kernel_full_corners_are_closed_without_products():
+    # a corner spanning all of M_k, k = rank E, has residual exactly 0 and
+    # dimension k^2: every rank-1 corner of a unital algebra, every corner of FULL
+    n = 5
+    full = random_instance(make_family("FULL", n), "similarity", seed=8)
+    es, _ = _sample_batch(n, "idempotent", seed=2, t0=0, bsz=16)
+    k = np.linalg.matrix_rank(es)
+    rel, rank = _assert_kernel_matches_reference(full, es)
+    assert np.array_equal(rank, k * k) and np.all(rel == 0.0)
+    ex1 = random_instance(make_family("EX1", n, ranks=(1, 2, 2)), "similarity", seed=8)
+    rel, rank = _assert_kernel_matches_reference(ex1, es)
+    assert np.all(rank[k == 1] == 1) and np.all(rel[k == 1] == 0.0)
+    # one rank-2 group of coordinate projections and a Haar projection:
+    # corners inside one block of EX1 span M_2, the others do not
+    alg = make_family("EX1", n, ranks=(1, 2, 2))
+    es = np.array([np.diag(np.isin(np.arange(n), c)).astype(np.complex128)
+                   for c in combinations(range(n), 2)])
+    sampled, _ = _sample_batch(n, "projection", seed=2, t0=1, bsz=1)
+    es = np.concatenate([es, sampled])
+    rel, rank = _assert_kernel_matches_reference(alg, es)
+    assert set(rank.tolist()) == {1, 3, 4}
+    assert np.all(rel[rank == 4] == 0.0)
+
+
+def test_corner_kernel_open_corner_with_fewer_generators_than_k_squared():
+    # a single generator at n = 6 spans d = 6 < k^2 = 25 for a rank-5 corner:
+    # the span's complement needs the full right singular frame
+    g = np.random.default_rng(0).standard_normal((6, 6))
+    alg = generated_algebra([g])
+    assert alg.dim == 6
+    es, _ = _sample_batch(6, "idempotent", seed=0, t0=4, bsz=1)
+    assert np.linalg.matrix_rank(es[0]) == 5
+    rel, rank = _assert_kernel_matches_reference(alg, es)
+    assert rank[0] == 6 and rel[0] > VIOLATION_RESIDUAL
 
 
 def test_corner_residual_rejects_a_misshapen_idempotent():

@@ -276,6 +276,18 @@ def test_refutation_rejects_a_non_violating_witness():
     assert not certify(alg, empty)
 
 
+def test_refutation_rejects_a_non_idempotent_witness():
+    # a Gaussian W leaves {W a W} unclosed on a compressible algebra, but
+    # W^2 != W, so W witnesses nothing
+    alg = make_family("EX2", 4)
+    v = classify(alg, cross_validate=False)
+    w = np.random.default_rng(5).standard_normal((4, 4))
+    assert np.linalg.norm(w @ w - w) > 1.0
+    assert corner_residual(alg, w) > 1e-6
+    bad = dataclasses.replace(v, compressible=False, witness=w)
+    assert not certify(alg, bad)
+
+
 # ---------------------------------------------------------------- random sweep
 
 

@@ -1,7 +1,11 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
-and one place that turns rank_eps_factor into a rank cutoff."""
+and one place that turns rank_eps_factor into a rank cutoff. Also: importing
+the command line does not import scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,14 @@ def test_rank_cutoff_has_one_policy():
                   for where, line in visitor.reads
                   if (path.stem, where) not in RANK_FACTOR_READERS]
     assert not stray, f"rank cutoffs outside matcore.numerical_rank: {stray}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where a Riesz projection is built: a request that
+    # builds none does not pay for it
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, corneralg.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.stdout.strip() == "False"

@@ -3,9 +3,13 @@
 For a unital subalgebra of M_n (n >= 4) the two notions coincide and hold
 exactly when the algebra is similar to the unitization of a full corner
 module, or transpose-similar to one of three explicit coordinate families.
-The classifier reads the reduced triangular data, routes through a decision
-tree keyed on the diagonal block pattern, and emits either a certificate
-(canonical family, variant, similarity) or a concrete violating idempotent.
+The classifier reads the reduced triangular data and routes through a
+decision tree keyed on the diagonal block pattern. A route only proposes:
+from ranks and supports it names candidate certificates (canonical family,
+variant, parameters, frame) and the refutation path of its case. `certify`
+is the one span decision, at rel_eps in the input's own coordinates; the
+first candidate that replays is the verdict. When none replays, the verdict
+is a concrete violating idempotent under the case's `*-defect` path.
 
 Every verdict is cross-validated: certificates are replayed by span equality,
 refutations by the witness corner residual, and compressible verdicts are
@@ -20,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checker import VIOLATION_RESIDUAL, CheckReport, check_compressible, corner_residual
-from .families import coordinate_projection, make_family
+from .families import make_family
 from .matcore import NumericalFailureError, as_matrix, rank_tol
 from .structure import WedderburnData, _cluster_values, support_columns, wedderburn
-from .subalgebra import MatrixAlgebra, conjugate, generated_algebra, subspace_from, transpose_variant
+from .subalgebra import MatrixAlgebra, conjugate, generated_algebra, transpose_variant
 
 __all__ = [
     "Verdict",
@@ -33,8 +37,6 @@ __all__ = [
     "certify",
     "classify_generated",
 ]
-
-_SPAN_EPS = 1e-8
 
 
 class ClassifierInconsistencyError(RuntimeError):
@@ -110,15 +112,6 @@ def _corner_scalar(stack: np.ndarray, coords) -> bool:
     return bool(np.linalg.norm(g - c * np.eye(m)) <= 1e-7)
 
 
-def _model_lr(n: int, p_frame: np.ndarray, q_frame: np.ndarray, tol):
-    """Span of I and P M Q, with P, Q given by orthonormal frames."""
-    mats = [np.eye(n, dtype=np.complex128)]
-    for i in range(p_frame.shape[1]):
-        for j in range(q_frame.shape[1]):
-            mats.append(np.outer(p_frame[:, i], q_frame[:, j].conj()))
-    return subspace_from(mats, n=n, tol=tol)
-
-
 def _frame_from_coords(n: int, coords) -> np.ndarray:
     f = np.zeros((n, len(coords)), dtype=np.complex128)
     for j, c in enumerate(coords):
@@ -140,10 +133,12 @@ def _complete_frame(n: int, partial: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Route:
-    family: str | None
+    """A candidate certificate, proposed from ranks and supports alone."""
+
+    family: str
+    type_path: str
     variant: str = "id"
     params: dict | None = None
-    type_path: str = ""
     t: complex | None = None
     layout: np.ndarray | None = None  # unitary Z with unhinged = Z F Z*
 
@@ -226,7 +221,7 @@ def _case_one_big_block(alg, wd, k: int):
     rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
 
     if (g1 and not _corner_scalar(ustack, g1)) or (g3 and not _corner_scalar(ustack, g3)):
-        return _Route(family=None, type_path="nonunique-k")
+        return [], "nonunique-k"
 
     r12 = _corner_dim(rstack, g1, g2)
     r13 = _corner_dim(rstack, g1, g3)
@@ -246,27 +241,27 @@ def _case_one_big_block(alg, wd, k: int):
             r = c1.shape[1]
             layout = _complete_frame(n, np.hstack([c1, _frame_from_coords(n, g2)]))
             params = {"ranks": (r + d, d), "overlap": d}
-        return _Route(family="LR_UNITAL", params=params,
-                      type_path="unique-k-extreme", layout=layout)
+        return [_Route(family="LR_UNITAL", params=params,
+                       type_path="unique-k-extreme", layout=layout)], "unique-k-defect"
 
     cls1 = struct.class_of(0)
     cls3 = struct.class_of(len(sizes) - 1)
     if cls1 != cls3:
         if r12 == n1 * d and r13 == n1 * n3 and r23 == d * n3:
-            return _Route(family="EX1", params={"ranks": (n1, d, n3)},
-                          type_path="unique-k-ex1")
-        return _Route(family=None, type_path="unique-k-defect")
+            return [_Route(family="EX1", params={"ranks": (n1, d, n3)},
+                           type_path="unique-k-ex1")], "unique-k-defect"
+        return [], "unique-k-defect"
 
-    # the outer scalar classes are linked: corner-module test
-    return _corner_module_route(alg, wd, rstack, (g1, g2, g3), r12, r23, "unique-k")
+    # the outer scalar classes are linked: corner-module candidate
+    return _corner_module_route(alg, rstack, (g1, g2, g3), r12, r23, "unique-k")
 
 
-def _corner_module_route(alg, wd, rstack, groups, r12: int, r23: int, prefix: str):
-    """Corner-module test for linked outer groups g1, g3 around the middle g2.
+def _corner_module_route(alg, rstack, groups, r12: int, r23: int, prefix: str):
+    """Corner-module candidate for linked outer groups g1, g3 around the middle g2.
 
-    Matches the unhinged algebra against span(I, P M Q), P over g1's radical
-    column support plus g2, Q over g2 plus g3's row support; the route is
-    `{prefix}-lr` on a match and `{prefix}-defect` otherwise.
+    Proposes span(I, P M Q), P over g1's radical column support plus g2, Q
+    over g2 plus g3's row support, as the route `{prefix}-lr`; the refutation
+    path is `{prefix}-defect`.
     """
     n = alg.n
     g1, g2, g3 = groups
@@ -280,15 +275,11 @@ def _corner_module_route(alg, wd, rstack, groups, r12: int, r23: int, prefix: st
     c1_full[g1, :] = c1
     c3_full = np.zeros((n, c3.shape[1]), dtype=np.complex128)
     c3_full[g3, :] = c3
-    mid = _frame_from_coords(n, g2)
-    model = _model_lr(n, np.hstack([c1_full, mid]), np.hstack([mid, c3_full]), alg.tol)
-    if model.equals(wd.unhinged.space):
-        r1, r3 = c1.shape[1], c3.shape[1]
-        layout = _complete_frame(n, np.hstack([c1_full, mid, c3_full]))
-        return _Route(family="LR_UNITAL",
-                      params={"ranks": (r1 + d, d + r3), "overlap": d},
-                      type_path=f"{prefix}-lr", layout=layout)
-    return _Route(family=None, type_path=f"{prefix}-defect")
+    layout = _complete_frame(n, np.hstack([c1_full, _frame_from_coords(n, g2), c3_full]))
+    route = _Route(family="LR_UNITAL",
+                   params={"ranks": (c1.shape[1] + d, d + c3.shape[1]), "overlap": d},
+                   type_path=f"{prefix}-lr", layout=layout)
+    return [route], f"{prefix}-defect"
 
 
 def _special_positions(ustack: np.ndarray, n: int):
@@ -319,34 +310,35 @@ def _case_three_groups(alg, wd, k: int):
     cls2 = struct.class_of(k)
     cls3 = struct.class_of(n - 1)
 
+    defect = "three-groups-defect"
     if cls1 != cls2 and cls2 != cls3 and cls1 != cls3:
         if r12 == n1 and r13 == n1 * n3 and r23 == n3:
-            return _Route(family="EX1", params={"ranks": (n1, 1, n3)},
-                          type_path="three-groups-ex1")
+            return [_Route(family="EX1", params={"ranks": (n1, 1, n3)},
+                           type_path="three-groups-ex1")], defect
         if n1 == 1 and r12 == 0 and r13 == n3 and r23 == n3:
             t_hat = _hinge_fit(np.array(wd.reduced.basis), 0, k)
-            return _Route(family="AT", params={"ranks": (1, 1, n3)},
-                          type_path="three-groups-hinged", t=t_hat)
+            return [_Route(family="AT", params={"ranks": (1, 1, n3)},
+                           type_path="three-groups-hinged", t=t_hat)], defect
         if n3 == 1 and r23 == 0 and r12 == n1 and r13 == n1:
             t_hat = _hinge_fit(np.array(wd.reduced.basis), k, n - 1)
-            return _Route(family="AT", variant="anti", params={"ranks": (1, 1, n1)},
-                          type_path="three-groups-hinged-anti", t=t_hat)
-        return _Route(family=None, type_path="three-groups-defect")
+            return [_Route(family="AT", variant="anti", params={"ranks": (1, 1, n1)},
+                           type_path="three-groups-hinged-anti", t=t_hat)], defect
+        return [], defect
 
     if cls1 == cls2 and cls2 != cls3:
         if n1 == 1 and r12 == 1 and r13 == n3 and r23 == n3:
-            return _Route(family="EX3", params={"ranks": (1, 1, n3)},
-                          type_path="three-groups-ex3")
-        return _Route(family=None, type_path="three-groups-defect")
+            return [_Route(family="EX3", params={"ranks": (1, 1, n3)},
+                           type_path="three-groups-ex3")], defect
+        return [], defect
     if cls2 == cls3 and cls1 != cls2:
         if n3 == 1 and r23 == 1 and r12 == n1 and r13 == n1:
-            return _Route(family="EX3", variant="anti", params={"ranks": (1, 1, n1)},
-                          type_path="three-groups-ex3-anti")
-        return _Route(family=None, type_path="three-groups-defect")
+            return [_Route(family="EX3", variant="anti", params={"ranks": (1, 1, n1)},
+                           type_path="three-groups-ex3-anti")], defect
+        return [], defect
     if cls1 == cls3 and cls1 != cls2:
-        # corner-module test with a rank-one middle
-        return _corner_module_route(alg, wd, rstack, (g1, [k], g3), r12, r23, "three-groups")
-    return _Route(family=None, type_path="single-class-defect")
+        # corner-module candidate with a rank-one middle
+        return _corner_module_route(alg, rstack, (g1, [k], g3), r12, r23, "three-groups")
+    return [], "single-class-defect"
 
 
 def _case_split(alg, wd):
@@ -368,65 +360,46 @@ def _case_split(alg, wd):
             break
     if n - b > a:
         raise NumericalFailureError("no admissible split despite zero special positions")
-    left = list(range(a))
-    right = list(range(a, n))
     rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
     p_hat = support_columns(list(rstack), "col", alg.tol) if wd.rad.dim else np.zeros((n, 0))
     q_hat = support_columns(list(rstack), "row", alg.tol) if wd.rad.dim else np.zeros((n, 0))
     rp, rq = p_hat.shape[1], q_hat.shape[1]
     if wd.rad.dim != rp * rq:
-        return _Route(family=None, type_path="split-defect")
-    single_class = len(struct.classes) == 1
-    if single_class:
-        model = _model_lr(n, p_hat, q_hat, alg.tol)
-        if model.equals(wd.unhinged.space):
-            layout = _complete_frame(n, np.hstack([p_hat, q_hat]))
-            return _Route(family="LR_UNITAL", params={"ranks": (rp, rq), "overlap": 0},
-                          type_path="split-lr", layout=layout)
-        return _Route(family=None, type_path="split-defect")
+        return [], "split-defect"
+    if len(struct.classes) == 1:
+        layout = _complete_frame(n, np.hstack([p_hat, q_hat]))
+        return [_Route(family="LR_UNITAL", params={"ranks": (rp, rq), "overlap": 0},
+                       type_path="split-lr", layout=layout)], "split-defect"
     # two classes: full-corner form, or a rank-one overlap pinned at coordinate 0
+    candidates = []
     if rp == a and rq == n - a:
-        model_mats = [np.eye(n, dtype=np.complex128),
-                      coordinate_projection(n, left), coordinate_projection(n, right)]
-        for i in left:
-            for j in right:
-                m = np.zeros((n, n), dtype=np.complex128)
-                m[i, j] = 1.0
-                model_mats.append(m)
-        model = subspace_from(model_mats, n=n, tol=alg.tol)
-        if model.equals(wd.unhinged.space):
-            return _Route(family="EX1", params={"ranks": (a, 0, n - a)},
-                          type_path="split-ex1")
+        candidates.append(_Route(family="EX1", params={"ranks": (a, 0, n - a)},
+                                 type_path="split-ex1"))
     singles = [cls[0] for cls in struct.classes if len(cls) == 1]
     if a == 1 and singles == [0] and rp <= 1:
-        e0 = _frame_from_coords(n, [0])
-        model = _model_lr(n, e0, np.hstack([e0, q_hat]), alg.tol)
-        if model.equals(wd.unhinged.space):
-            layout = _complete_frame(n, np.hstack([e0, q_hat]))
-            return _Route(family="LR_UNITAL", params={"ranks": (1, 1 + rq), "overlap": 1},
-                          type_path="split-lr", layout=layout)
+        layout = _complete_frame(n, np.hstack([_frame_from_coords(n, [0]), q_hat]))
+        candidates.append(_Route(family="LR_UNITAL", params={"ranks": (1, 1 + rq), "overlap": 1},
+                                 type_path="split-lr", layout=layout))
     # mirror: overlap coordinate pinned at the end instead of the start
     if b == 1 and singles == [n - 1] and rq <= 1:
-        e_last = _frame_from_coords(n, [n - 1])
-        model = _model_lr(n, np.hstack([p_hat, e_last]), e_last, alg.tol)
-        if model.equals(wd.unhinged.space):
-            layout = _complete_frame(n, np.hstack([p_hat, e_last]))
-            return _Route(family="LR_UNITAL", params={"ranks": (rp + 1, 1), "overlap": 1},
-                          type_path="split-lr", layout=layout)
-    return _Route(family=None, type_path="split-defect")
+        layout = _complete_frame(n, np.hstack([p_hat, _frame_from_coords(n, [n - 1])]))
+        candidates.append(_Route(family="LR_UNITAL", params={"ranks": (rp + 1, 1), "overlap": 1},
+                                 type_path="split-lr", layout=layout))
+    return candidates, "split-defect"
 
 
 def _route(alg: MatrixAlgebra, wd: WedderburnData):
+    """Candidate certificates in the order to try them, and the refutation path."""
     sizes = wd.block.sizes
     big = [i for i, s in enumerate(sizes) if s >= 2]
     if len(big) >= 2:
-        return _Route(family=None, type_path="nonunique-k")
+        return [], "nonunique-k"
     if len(big) == 1:
         return _case_one_big_block(alg, wd, big[0])
     ustack = _stack(wd.unhinged)
     specials = _special_positions(ustack, alg.n)
     if len(specials) >= 2:
-        return _Route(family=None, type_path="nonunique-k")
+        return [], "nonunique-k"
     if len(specials) == 1:
         return _case_three_groups(alg, wd, specials[0])
     return _case_split(alg, wd)
@@ -441,23 +414,19 @@ def _certificate_similarity(wd: WedderburnData, layout: np.ndarray | None) -> np
     return z.conj().T @ np.linalg.inv(move)
 
 
-def _normalize_hinge(t_value: complex) -> complex:
-    """Canonical representative of the hinge parameter.
-
-    Conjugating by a diagonal phase matrix is unitary and rotates the hinge
-    by an arbitrary phase, so only |t| is an invariant of the disguised
-    algebra; report the nonnegative real member of the orbit.
-    """
-    return complex(abs(t_value))
-
-
-def _build_verdict(alg, route: _Route, wd, seed: int, t_value: complex | None):
+def _build_verdict(alg, route: _Route, wd, seed: int) -> Verdict:
     n = alg.n
     sim = _certificate_similarity(wd, route.layout) if wd is not None else np.eye(n)
     params = dict(route.params or {})
-    family = route.family
+    family, t_value = route.family, None
     if family == "AT":
-        if t_value is not None and abs(t_value) < 1e-7:
+        if route.t is None:
+            raise ClassifierInconsistencyError("hinge fit failed on an AT route")
+        # conjugating by a diagonal phase matrix is unitary and rotates the
+        # hinge by an arbitrary phase, so only |t| is an invariant of the
+        # disguised algebra: report the nonnegative real member of the orbit
+        t_value = complex(abs(route.t))
+        if abs(t_value) < 1e-7:
             family, t_value = "EX2", None
         else:
             # the unhinged form is the t = 0 member; the certificate similarity
@@ -539,49 +508,30 @@ def classify(
     if not alg.unital:
         raise ValueError("classification is defined for unital algebras")
     n = alg.n
-    if alg.dim == 1:
-        verdict = Verdict(compressible=True, n=n, dim=1, family="SCALAR", variant="id",
-                          params={}, type_path="trivial-scalar", t=None,
-                          similarity=np.eye(n), witness=None, check=None, seed=seed)
-        if not certify(alg, verdict):
-            raise ClassifierInconsistencyError("scalar certificate failed to replay")
-        return _attach_check(alg, verdict, None, trials, seed) if cross_validate else verdict
-    if alg.dim == n * n:
-        verdict = Verdict(compressible=True, n=n, dim=alg.dim, family="FULL", variant="id",
-                          params={}, type_path="trivial-full", t=None,
-                          similarity=np.eye(n), witness=None, check=None, seed=seed)
-        if not certify(alg, verdict):
-            raise ClassifierInconsistencyError("full-algebra certificate failed to replay")
-        return _attach_check(alg, verdict, None, trials, seed) if cross_validate else verdict
-    if n < 4:
-        raise ValueError("the structured classification requires n >= 4")
+    if alg.dim in (1, n * n):
+        family = "SCALAR" if alg.dim == 1 else "FULL"
+        wd, refuted = None, "trivial-defect"
+        candidates = [_Route(family=family, type_path=f"trivial-{family.lower()}")]
+    else:
+        if n < 4:
+            raise ValueError("the structured classification requires n >= 4")
+        if wd is None:
+            wd = wedderburn(alg, seed=seed)
+        candidates, refuted = _route(alg, wd)
 
-    if wd is None:
-        wd = wedderburn(alg, seed=seed)
-    route = _route(alg, wd)
-
-    if route.family is not None:
-        if route.family == "AT":
-            if route.t is None:
-                raise ClassifierInconsistencyError("hinge fit failed on an AT route")
-            verdict = _build_verdict(alg, route, wd, seed, _normalize_hinge(complex(route.t)))
-        else:
-            verdict = _build_verdict(alg, route, wd, seed, None)
+    # a candidate is that family exactly when its certificate replays
+    for route in candidates:
+        verdict = _build_verdict(alg, route, wd, seed)
         if certify(alg, verdict):
-            if cross_validate:
-                verdict = _attach_check(alg, verdict, wd, trials, seed)
-            return verdict
-        # a family shape that fails span verification is not that family;
-        # the refutation branch below must then produce a witness
-        route = _Route(family=None, type_path=route.type_path + "-uncertified")
+            return _attach_check(alg, verdict, wd, trials, seed) if cross_validate else verdict
 
     witness = _find_witness(alg, wd, seed)
     if witness is None:
         raise ClassifierInconsistencyError(
-            f"refutation path {route.type_path} produced no replaying witness"
+            f"refutation path {refuted} produced no replaying witness"
         )
     return Verdict(compressible=False, n=n, dim=alg.dim, family=None, variant="id",
-                   params={}, type_path=route.type_path, t=None, similarity=None,
+                   params={}, type_path=refuted, t=None, similarity=None,
                    witness=witness, check=None, seed=seed)
 
 

@@ -56,8 +56,9 @@ class Tolerance:
     rank_eps_factor: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.rel_eps <= 0 or self.rank_eps_factor <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        # a NaN compares False against everything, so test what is allowed
+        if not all(0 < x < np.inf for x in (self.rel_eps, self.rank_eps_factor)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

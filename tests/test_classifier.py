@@ -8,7 +8,6 @@ import pytest
 from corneralg import classifier
 from corneralg.checker import corner_residual
 from corneralg.classifier import (
-    ClassifierInconsistencyError,
     certify,
     classify,
     classify_generated,
@@ -241,15 +240,24 @@ def test_witness_fallback_samples_through_the_checker(monkeypatch):
     assert classifier._find_witness(make_family("EX1", 4), None, seed=0) is None
 
 
-@pytest.mark.xfail(strict=True, raises=ClassifierInconsistencyError,
-                   reason="misroute to three-groups-defect at condition 3702, an open fault")
-def test_lr_unital_under_an_ill_conditioned_similarity_is_certified():
-    # a compressible algebra that routes to three-groups-defect and finds no
-    # replaying witness; the checker passes it over 2000 trials
-    s = random_similarity(5, np.random.default_rng([22, 77]), max_cond=1e4)
-    alg = conjugate(make_family("LR_UNITAL", 5, ranks=(3, 1), overlap=1), s)
+@pytest.mark.parametrize(
+    "n,kw,key,max_cond,path",
+    [
+        (5, {"ranks": (3, 1), "overlap": 1}, [22, 77], 1e4, "three-groups-lr"),
+        (4, {"ranks": (1, 1), "overlap": 1}, [555, 1, 4], 1e3, "split-lr"),
+        (6, {"ranks": (3, 4), "overlap": 2}, [555, 2, 45], 1e4, "unique-k-lr"),
+    ],
+)
+def test_lr_unital_under_an_ill_conditioned_similarity_is_certified(n, kw, key, max_cond, path):
+    # the disguise amplifies roundoff in the unhinged coordinates past rel_eps;
+    # the certificate still replays in the input's own coordinates, where the
+    # span decision is made
+    s = random_similarity(n, np.random.default_rng(key), max_cond=max_cond)
+    alg = conjugate(make_family("LR_UNITAL", n, **kw), s)
     v = classify(alg, cross_validate=False)
-    assert v.compressible and certify(alg, v)
+    assert v.compressible and v.family == "LR_UNITAL" and v.type_path == path
+    assert v.params == {"ranks": kw["ranks"], "overlap": kw["overlap"]}
+    assert certify(alg, v)
 
 
 # ---------------------------------------------------------------- replay audit

@@ -192,12 +192,11 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CORNERALG_TOL", "1e-3")
     rc, _ = run(capsys, "check", str(loose), "--trials", "20")
     assert rc != 2
-    monkeypatch.setenv("CORNERALG_TOL", "-1")
-    rc, _ = run(capsys, "check", str(loose))
-    assert rc == 2
-    monkeypatch.setenv("CORNERALG_TOL", "abc")
-    rc, _ = run(capsys, "check", str(loose))
-    assert rc == 2
+    # NaN and infinity would pass every closure and span test
+    for bad in ("-1", "abc", "nan", "inf"):
+        monkeypatch.setenv("CORNERALG_TOL", bad)
+        rc, _ = run(capsys, "check", str(loose))
+        assert rc == 2, bad
 
 
 # ---------------------------------------------------------------- entry point

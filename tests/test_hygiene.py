@@ -1,6 +1,7 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
-and one place that turns rank_eps_factor into a rank cutoff. Also: importing
-the command line does not import scipy."""
+one place that turns rank_eps_factor into a rank cutoff, and one span
+equality decision in the classifier. Also: importing the command line does
+not import scipy."""
 
 import ast
 import os
@@ -55,10 +56,13 @@ def test_no_unused_module_level_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-class _FactorReads(ast.NodeVisitor):
-    def __init__(self):
+class _Scoped(ast.NodeVisitor):
+    """(qualified enclosing function, line) of every node that `hit` accepts."""
+
+    def __init__(self, hit):
+        self.hit = hit
         self.scope = []
-        self.reads = []
+        self.found = []
 
     def _enter(self, node):
         self.scope.append(node.name)
@@ -67,21 +71,45 @@ class _FactorReads(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
-    def visit_Attribute(self, node):
-        if node.attr == "rank_eps_factor" and isinstance(node.ctx, ast.Load):
-            self.reads.append((".".join(self.scope), node.lineno))
-        self.generic_visit(node)
+    def generic_visit(self, node):
+        if self.hit(node):
+            self.found.append((".".join(self.scope), node.lineno))
+        super().generic_visit(node)
+
+
+def _found(path, hit):
+    visitor = _Scoped(hit)
+    visitor.visit(_tree(path))
+    return visitor.found
+
+
+def _reads_rank_factor(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "rank_eps_factor"
+            and isinstance(node.ctx, ast.Load))
+
+
+def _calls_equals(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "equals")
 
 
 def test_rank_cutoff_has_one_policy():
     stray = []
     for path in MODULES:
-        visitor = _FactorReads()
-        visitor.visit(_tree(path))
         stray += [f"{path.name}:{line} in {where or '<module>'}"
-                  for where, line in visitor.reads
+                  for where, line in _found(path, _reads_rank_factor)
                   if (path.stem, where) not in RANK_FACTOR_READERS]
     assert not stray, f"rank cutoffs outside matcore.numerical_rank: {stray}"
+
+
+def test_classifier_decides_span_equality_only_in_certify():
+    # routes propose candidates; certify alone compares spans, in the input's
+    # own coordinates
+    calls = _found(SRC / "classifier.py", _calls_equals)
+    stray = [f"classifier.py:{line} in {where or '<module>'}"
+             for where, line in calls if where != "certify"]
+    assert not stray, f"span equality outside certify: {stray}"
+    assert any(where == "certify" for where, _ in calls)
 
 
 def test_cli_import_leaves_scipy_unloaded():

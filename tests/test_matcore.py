@@ -32,10 +32,11 @@ def test_as_matrix_coerces_and_rejects():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_eps_factor=-1e-9)
+    for bad in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerance(rel_eps=bad)
+        with pytest.raises(ValueError):
+            Tolerance(rank_eps_factor=bad)
 
 
 def test_vec_unvec_row_major_round_trip():

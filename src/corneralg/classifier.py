@@ -3,8 +3,11 @@
 For a unital subalgebra of M_n (n >= 4) the two notions coincide and hold
 exactly when the algebra is similar to the unitization of a full corner
 module, or transpose-similar to one of three explicit coordinate families.
-The classifier reads the reduced triangular data and routes through a
-decision tree keyed on the diagonal block pattern. A route only proposes:
+The classifier reads the reduced triangular data and counts the scalar runs
+of whole diagonal blocks from the start (a coordinates) and from the end
+(b). The middle [a, n - b) picks the case: empty is a split, one block is
+the unique big block or special position between scalar outer groups, and
+anything else is `nonunique-k`. A route only proposes:
 from ranks and supports it names candidate certificates (canonical family,
 variant, parameters, frame) and the refutation path of its case. `certify`
 is the one span decision, at rel_eps in the input's own coordinates; the
@@ -207,61 +210,25 @@ def _hinge_fit(reduced_stack: np.ndarray, p1: int, p2: int) -> complex | None:
     return complex(np.sum(h * delta.conj()) / denom)
 
 
-def _case_one_big_block(alg, wd, k: int):
-    struct = wd.block
-    n = alg.n
-    sizes = struct.sizes
-    d = sizes[k]
-    off = struct.offsets
-    g1 = list(range(0, off[k]))
-    g2 = list(range(off[k], off[k] + d))
-    g3 = list(range(off[k] + d, n))
-    n1, n3 = len(g1), len(g3)
-    ustack = _stack(wd.unhinged)
-    rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
-
-    if (g1 and not _corner_scalar(ustack, g1)) or (g3 and not _corner_scalar(ustack, g3)):
-        return [], "nonunique-k"
-
-    r12 = _corner_dim(rstack, g1, g2)
-    r13 = _corner_dim(rstack, g1, g3)
-    r23 = _corner_dim(rstack, g2, g3)
-    if r12 + r13 + r23 != wd.rad.dim:
-        raise NumericalFailureError("radical failed to split along the corner grading")
-
-    if n1 == 0 or n3 == 0:
-        # extreme block: automatic corner-module form
-        if n1 == 0:
-            c3 = support_columns(list(rstack), "row", alg.tol) if wd.rad.dim else np.zeros((n, 0))
-            r = c3.shape[1]
-            layout = _complete_frame(n, np.hstack([_frame_from_coords(n, g2), c3]))
-            params = {"ranks": (d, d + r), "overlap": d}
-        else:
-            c1 = support_columns(list(rstack), "col", alg.tol) if wd.rad.dim else np.zeros((n, 0))
-            r = c1.shape[1]
-            layout = _complete_frame(n, np.hstack([c1, _frame_from_coords(n, g2)]))
-            params = {"ranks": (r + d, d), "overlap": d}
-        return [_Route(family="LR_UNITAL", params=params,
-                       type_path="unique-k-extreme", layout=layout)], "unique-k-defect"
-
-    cls1 = struct.class_of(0)
-    cls3 = struct.class_of(len(sizes) - 1)
-    if cls1 != cls3:
-        if r12 == n1 * d and r13 == n1 * n3 and r23 == d * n3:
-            return [_Route(family="EX1", params={"ranks": (n1, d, n3)},
-                           type_path="unique-k-ex1")], "unique-k-defect"
-        return [], "unique-k-defect"
-
-    # the outer scalar classes are linked: corner-module candidate
-    return _corner_module_route(alg, rstack, (g1, g2, g3), r12, r23, "unique-k")
+def _scalar_run(ustack: np.ndarray, blocks) -> int:
+    """Coordinates in the longest run of whole blocks, taken in the given
+    order, on which the algebra compresses to scalars."""
+    run = []
+    for block in blocks:
+        coords = sorted(run + block)
+        if not _corner_scalar(ustack, coords):
+            break
+        run = coords
+    return len(run)
 
 
-def _corner_module_route(alg, rstack, groups, r12: int, r23: int, prefix: str):
-    """Corner-module candidate for linked outer groups g1, g3 around the middle g2.
+def _corner_module_route(alg, rstack, groups, r12: int, r23: int, type_path: str) -> _Route:
+    """Corner-module candidate for outer groups g1, g3 around the middle g2,
+    the outer groups linked or one of them empty.
 
     Proposes span(I, P M Q), P over g1's radical column support plus g2, Q
-    over g2 plus g3's row support, as the route `{prefix}-lr`; the refutation
-    path is `{prefix}-defect`.
+    over g2 plus g3's row support. Each support is read from the radical's
+    block against g2 alone, so roundoff in g2's own rows and columns stays out.
     """
     n = alg.n
     g1, g2, g3 = groups
@@ -276,55 +243,51 @@ def _corner_module_route(alg, rstack, groups, r12: int, r23: int, prefix: str):
     c3_full = np.zeros((n, c3.shape[1]), dtype=np.complex128)
     c3_full[g3, :] = c3
     layout = _complete_frame(n, np.hstack([c1_full, _frame_from_coords(n, g2), c3_full]))
-    route = _Route(family="LR_UNITAL",
-                   params={"ranks": (c1.shape[1] + d, d + c3.shape[1]), "overlap": d},
-                   type_path=f"{prefix}-lr", layout=layout)
-    return [route], f"{prefix}-defect"
+    return _Route(family="LR_UNITAL",
+                  params={"ranks": (c1.shape[1] + d, d + c3.shape[1]), "overlap": d},
+                  type_path=type_path, layout=layout)
 
 
-def _special_positions(ustack: np.ndarray, n: int):
-    out = []
-    for k in range(n):
-        left = list(range(0, k + 1))
-        right = list(range(k, n))
-        if not _corner_scalar(ustack, left) and not _corner_scalar(ustack, right):
-            out.append(k)
-    return out
+def _case_three_groups(alg, wd, a: int, e: int):
+    """Scalar outer groups [0, a) and [e, n) around the one middle block [a, e).
 
-
-def _case_three_groups(alg, wd, k: int):
-    """All blocks 1x1 and a single special position k."""
+    The middle is the unique big block (paths `unique-k-*`) or the unique
+    special position of an all-1x1 pattern (paths `three-groups-*`).
+    """
     struct = wd.block
     n = alg.n
-    g1 = list(range(0, k))
-    g3 = list(range(k + 1, n))
-    n1, n3 = len(g1), len(g3)
-    if n1 == 0 or n3 == 0:
-        raise NumericalFailureError("special position at the boundary")
+    g1, g2, g3 = list(range(a)), list(range(a, e)), list(range(e, n))
+    n1, d, n3 = len(g1), len(g2), len(g3)
+    prefix = "unique-k" if d >= 2 else "three-groups"
+    defect = f"{prefix}-defect"
     rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
     # projection dimensions; gradedness itself is settled by the certificate
-    r12 = _corner_dim(rstack, g1, [k])
+    r12 = _corner_dim(rstack, g1, g2)
     r13 = _corner_dim(rstack, g1, g3)
-    r23 = _corner_dim(rstack, [k], g3)
+    r23 = _corner_dim(rstack, g2, g3)
+    if not g1 or not g3:
+        # extreme block: automatic corner-module form
+        return [_corner_module_route(alg, rstack, (g1, g2, g3), r12, r23,
+                                     "unique-k-extreme")], defect
     cls1 = struct.class_of(0)
-    cls2 = struct.class_of(k)
-    cls3 = struct.class_of(n - 1)
+    cls2 = struct.class_of(struct.offsets.index(a))
+    cls3 = struct.class_of(len(struct.sizes) - 1)
 
-    defect = "three-groups-defect"
     if cls1 != cls2 and cls2 != cls3 and cls1 != cls3:
-        if r12 == n1 and r13 == n1 * n3 and r23 == n3:
-            return [_Route(family="EX1", params={"ranks": (n1, 1, n3)},
-                           type_path="three-groups-ex1")], defect
-        if n1 == 1 and r12 == 0 and r13 == n3 and r23 == n3:
-            t_hat = _hinge_fit(np.array(wd.reduced.basis), 0, k)
+        if r12 == n1 * d and r13 == n1 * n3 and r23 == d * n3:
+            return [_Route(family="EX1", params={"ranks": (n1, d, n3)},
+                           type_path=f"{prefix}-ex1")], defect
+        if d == 1 and n1 == 1 and r12 == 0 and r13 == n3 and r23 == n3:
+            t_hat = _hinge_fit(np.array(wd.reduced.basis), 0, a)
             return [_Route(family="AT", params={"ranks": (1, 1, n3)},
                            type_path="three-groups-hinged", t=t_hat)], defect
-        if n3 == 1 and r23 == 0 and r12 == n1 and r13 == n1:
-            t_hat = _hinge_fit(np.array(wd.reduced.basis), k, n - 1)
+        if d == 1 and n3 == 1 and r23 == 0 and r12 == n1 and r13 == n1:
+            t_hat = _hinge_fit(np.array(wd.reduced.basis), a, n - 1)
             return [_Route(family="AT", variant="anti", params={"ranks": (1, 1, n1)},
                            type_path="three-groups-hinged-anti", t=t_hat)], defect
         return [], defect
 
+    # a block linked to the middle has its size, so the EX3 shapes have d = 1
     if cls1 == cls2 and cls2 != cls3:
         if n1 == 1 and r12 == 1 and r13 == n3 and r23 == n3:
             return [_Route(family="EX3", params={"ranks": (1, 1, n3)},
@@ -336,30 +299,16 @@ def _case_three_groups(alg, wd, k: int):
                            type_path="three-groups-ex3-anti")], defect
         return [], defect
     if cls1 == cls3 and cls1 != cls2:
-        # corner-module candidate with a rank-one middle
-        return _corner_module_route(alg, rstack, (g1, [k], g3), r12, r23, "three-groups")
+        # the outer scalar classes are linked: corner-module candidate
+        return [_corner_module_route(alg, rstack, (g1, g2, g3), r12, r23, f"{prefix}-lr")], defect
     return [], "single-class-defect"
 
 
-def _case_split(alg, wd):
-    """All blocks 1x1, no special position: split at the maximal scalar prefix."""
+def _case_split(alg, wd, a: int, b: int):
+    """All blocks 1x1, no special position: split after the scalar prefix of
+    a coordinates; b is the scalar suffix."""
     struct = wd.block
     n = alg.n
-    ustack = _stack(wd.unhinged)
-    a = 1
-    for m in range(2, n):
-        if _corner_scalar(ustack, list(range(m))):
-            a = m
-        else:
-            break
-    b = 1
-    for m in range(2, n):
-        if _corner_scalar(ustack, list(range(n - m, n))):
-            b = m
-        else:
-            break
-    if n - b > a:
-        raise NumericalFailureError("no admissible split despite zero special positions")
     rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
     p_hat = support_columns(list(rstack), "col", alg.tol) if wd.rad.dim else np.zeros((n, 0))
     q_hat = support_columns(list(rstack), "row", alg.tol) if wd.rad.dim else np.zeros((n, 0))
@@ -389,20 +338,24 @@ def _case_split(alg, wd):
 
 
 def _route(alg: MatrixAlgebra, wd: WedderburnData):
-    """Candidate certificates in the order to try them, and the refutation path."""
-    sizes = wd.block.sizes
-    big = [i for i, s in enumerate(sizes) if s >= 2]
-    if len(big) >= 2:
-        return [], "nonunique-k"
-    if len(big) == 1:
-        return _case_one_big_block(alg, wd, big[0])
+    """Candidate certificates in the order to try them, and the refutation path.
+
+    a and b count the coordinates of the longest scalar runs of whole blocks
+    from the start and from the end. A block of size >= 2 compresses to a
+    full matrix algebra, so it never lies in a run; with 1x1 blocks the
+    special positions are exactly the middle [a, n - b).
+    """
+    n = alg.n
+    off = wd.block.offsets
+    blocks = [list(range(off[i], off[i + 1])) for i in range(len(off) - 1)]
     ustack = _stack(wd.unhinged)
-    specials = _special_positions(ustack, alg.n)
-    if len(specials) >= 2:
-        return [], "nonunique-k"
-    if len(specials) == 1:
-        return _case_three_groups(alg, wd, specials[0])
-    return _case_split(alg, wd)
+    a = _scalar_run(ustack, blocks[:-1])
+    b = _scalar_run(ustack, blocks[:0:-1])
+    if a >= n - b:
+        return _case_split(alg, wd, a, b)
+    if off[off.index(a) + 1] == n - b:
+        return _case_three_groups(alg, wd, a, n - b)
+    return [], "nonunique-k"
 
 
 # ---------------------------------------------------------------- public API

@@ -54,6 +54,12 @@ def split_radical_defect():
     return algebra_from_span([np.eye(4), eij(4, 0, 3), eij(4, 1, 2), eij(4, 1, 3)])
 
 
+def big_block_with_a_split_outer_group():
+    # span{E11, E22, E55} + M_2 on {3, 4}: the group before the big block is not scalar
+    units = [eij(5, i, i) for i in (0, 1, 4)]
+    return algebra_from_span(units + [eij(5, i, j) for i in (2, 3) for j in (2, 3)])
+
+
 def misplaced_nilpotent():
     # span{I, E44, E12}: the nilpotent couples two coordinates inside one class
     return algebra_from_span([np.eye(4), eij(4, 3, 3), eij(4, 0, 1)])
@@ -168,6 +174,16 @@ def test_single_column_overlap_modules_survive_disguise(n, p, seed):
     assert certify(alg, v)
 
 
+@pytest.mark.parametrize("disguise", ["none", "similarity"])
+def test_big_block_in_last_position_is_an_extreme_corner_module(disguise):
+    # EX1 with an empty third group is the corner module M_5 P with rank P = 3
+    alg = random_instance(make_family("EX1", 5, ranks=(2, 3, 0)), disguise, seed=3)
+    v = classify(alg, trials=120)
+    assert v.compressible and v.family == "LR_UNITAL" and v.type_path == "unique-k-extreme"
+    assert v.params == {"ranks": (5, 3), "overlap": 3}
+    assert certify(alg, v)
+
+
 # ---------------------------------------------------------------- hinge
 
 
@@ -210,6 +226,7 @@ def test_hinge_family_survives_general_similarity():
         (two_jordan_cells, "split-defect"),
         (split_radical_defect, "split-defect"),
         (misplaced_nilpotent, "three-groups-defect"),
+        (big_block_with_a_split_outer_group, "nonunique-k"),
     ],
 )
 def test_refutations_carry_a_replaying_witness(builder, path):
@@ -246,6 +263,7 @@ def test_witness_fallback_samples_through_the_checker(monkeypatch):
         (5, {"ranks": (3, 1), "overlap": 1}, [22, 77], 1e4, "three-groups-lr"),
         (4, {"ranks": (1, 1), "overlap": 1}, [555, 1, 4], 1e3, "split-lr"),
         (6, {"ranks": (3, 4), "overlap": 2}, [555, 2, 45], 1e4, "unique-k-lr"),
+        (4, {"ranks": (3, 4), "overlap": 3}, [555, 1, 9], 1e5, "unique-k-extreme"),
     ],
 )
 def test_lr_unital_under_an_ill_conditioned_similarity_is_certified(n, kw, key, max_cond, path):

@@ -1,6 +1,6 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
-one place that turns rank_eps_factor into a rank cutoff, and one span
-equality decision in the classifier. Also: importing the command line does
+one place that turns rank_eps_factor into a rank cutoff, one span equality
+decision and one scalar-group scan in the classifier. Also: importing the command line does
 not import scipy."""
 
 import ast
@@ -93,6 +93,11 @@ def _calls_equals(node):
             and node.func.attr == "equals")
 
 
+def _calls_corner_scalar(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_corner_scalar")
+
+
 def test_rank_cutoff_has_one_policy():
     stray = []
     for path in MODULES:
@@ -110,6 +115,15 @@ def test_classifier_decides_span_equality_only_in_certify():
              for where, line in calls if where != "certify"]
     assert not stray, f"span equality outside certify: {stray}"
     assert any(where == "certify" for where, _ in calls)
+
+
+def test_classifier_scans_for_scalar_groups_only_in_scalar_run():
+    # the route reads every outer group off the two runs of _scalar_run
+    calls = _found(SRC / "classifier.py", _calls_corner_scalar)
+    stray = [f"classifier.py:{line} in {where or '<module>'}"
+             for where, line in calls if where != "_scalar_run"]
+    assert not stray, f"scalar tests outside _scalar_run: {stray}"
+    assert any(where == "_scalar_run" for where, _ in calls)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -9,6 +9,8 @@ through coordinate and random frames) with seeded random trials.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -244,7 +246,12 @@ def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
     return corners
 
 
-def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
+def _twisted(mode: str, t0: int, bsz: int) -> np.ndarray:
+    """Which of trials t0..t0+bsz-1 draw a similarity-twisted idempotent."""
+    return (np.arange(t0, t0 + bsz) % 2 == 1) & (mode != "projection")
+
+
+def _draw_trials(n: int, mode: str, seed: int, t0: int, bsz: int) -> np.ndarray:
     """Idempotents for trials t0..t0+bsz-1, one rng substream per trial.
 
     A trial draws its Gaussians in one call: the real and imaginary parts of
@@ -253,7 +260,7 @@ def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
     matrices in use and the inversions are stacked over the batch.
     """
     ts = np.arange(t0, t0 + bsz)
-    idem = (ts % 2 == 1) & (mode != "projection")
+    idem = _twisted(mode, t0, bsz)
     gauss = np.empty((bsz, 6, n, n))
     conds = []
     for k, (t, twisted) in enumerate(zip(ts.tolist(), idem.tolist())):
@@ -274,7 +281,88 @@ def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
         sing = np.geomspace(1.0, np.array(conds), n, axis=-1)
         s = (qt[:, 0] * sing[:, None, :]) @ qt[:, 1]
         es[idem] = s @ es[idem] @ np.linalg.inv(s)
-    return es, ["idempotent" if i else "projection" for i in idem.tolist()]
+    return es
+
+
+class _TrialPrefix:
+    """The first `filled` trials of one stream, in a read-only buffer that
+    grows geometrically up to `cap` trials."""
+
+    def __init__(self, n: int, cap: int):
+        self.cap = cap
+        self.filled = 0
+        self.buf = np.empty((0, n, n), dtype=np.complex128)
+
+    def extend(self, es: np.ndarray) -> None:
+        stop = self.filled + len(es)
+        if stop > len(self.buf):
+            grown = np.empty((min(self.cap, max(stop, 2 * self.filled)), *es.shape[1:]),
+                             es.dtype)
+            grown[: self.filled] = self.buf[: self.filled]
+            self.buf = grown
+        self.buf.flags.writeable = True
+        self.buf[self.filled : stop] = es
+        self.buf.flags.writeable = False
+        self.filled = stop
+
+
+class _TrialCache:
+    """Trial idempotents, drawn once per (n, mode, seed).
+
+    Trials do not depend on the algebra, so each key keeps a prefix of its
+    stream and serves any window of it as a read-only slice. A window that
+    starts inside the prefix extends it by exactly the trials it lacks. A
+    window past the key's cap, or past the end of a prefix it cannot extend,
+    is drawn uncached. The cap is max_trials, or fewer when that many n x n
+    trials would not fit in max_bytes. Keys go least recently used first
+    while there are more than max_keys of them or their buffers hold more
+    than max_bytes; the key just read is never one of them, so the buffers
+    never hold more than max_bytes together.
+    """
+
+    def __init__(self, max_keys: int, max_trials: int, max_bytes: int):
+        self.max_keys = max_keys
+        self.max_trials = max_trials
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def window(self, n: int, mode: str, seed: int, t0: int, bsz: int) -> np.ndarray:
+        """Idempotents for trials t0..t0+bsz-1 of the (n, mode, seed) stream."""
+        stop = t0 + bsz
+        key = (n, mode, seed)
+        cap = min(self.max_trials, self.max_bytes // (16 * n * n))
+        with self._lock:
+            entry = self._entries.get(key)
+            filled = 0 if entry is None else entry.filled
+            if t0 <= filled and stop <= cap:
+                # out of the table while it grows, back in as the most recent
+                entry = self._entries.pop(key, None) or _TrialPrefix(n, cap)
+                self.nbytes -= entry.buf.nbytes
+                if filled < stop:
+                    entry.extend(_draw_trials(n, mode, seed, filled, stop - filled))
+                self._entries[key] = entry
+                self.nbytes += entry.buf.nbytes
+                while len(self._entries) > self.max_keys or self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1].buf.nbytes
+                return entry.buf[t0:stop]
+        return _draw_trials(n, mode, seed, t0, bsz)
+
+
+# 16 keys cover the ten seeds the acceptance corpus cycles through at one n;
+# 2048 trials cover the 500, 1536 and 2000 that the package and tests run,
+# 1.2 MB a key at n = 6; 64 MB bounds the whole cache at any n
+_TRIALS = _TrialCache(max_keys=16, max_trials=2048, max_bytes=64 << 20)
+
+
+def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
+    """Idempotents and kinds for trials t0..t0+bsz-1, read from the trial cache.
+
+    The idempotents are read-only and shared with every later check.
+    """
+    es = _TRIALS.window(n, mode, seed, t0, bsz)
+    return es, ["idempotent" if i else "projection" for i in _twisted(mode, t0, bsz).tolist()]
 
 
 class _Collector:
@@ -304,6 +392,16 @@ def check_compressible(
     alternates projections with similarity-twisted idempotents of bounded
     condition number. Ranks sweep 1..n-1 round robin. Every trial draws from
     its own substream, so reports are reproducible given the seed.
+
+    The trials do not depend on the algebra, so they are drawn once per
+    (n, mode, seed) and kept as a read-only prefix of that stream: a later
+    check reads the trials it needs from the prefix and draws only those
+    past its end. A prefix holds at most 2048 trials, and fewer when 2048
+    trials of size n would pass 64 MB; later trials are drawn afresh for
+    each check. A trial costs 16 n^2 bytes, so a 500-trial key holds about
+    0.3 MB at n = 6. At most 16 keys are kept, and at most 64 MB of trials
+    at any n, least recently used first out. A report's witnesses are
+    copies, never views of these arrays.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -348,8 +446,9 @@ def check_compressible(
         indeterminate += int(np.count_nonzero((rel > PASS_RESIDUAL) & (rel <= VIOLATION_RESIDUAL)))
         bad = np.nonzero(rel > VIOLATION_RESIDUAL)[0]
         for k in bad:
+            # a copy: the cache's arrays are shared by every later check
             collect(Violation(kind=kinds[k], index=trial + int(k),
-                              witness=es[k], residual=float(rel[k])))
+                              witness=es[k].copy(), residual=float(rel[k])))
         if collect.found and stop_on_violation:
             break
         trial += bsz

@@ -1,16 +1,21 @@
 """Witness catalog, randomized corner trials, folding."""
 
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from corneralg import checker
 from corneralg.checker import (
     PASS_RESIDUAL,
     VIOLATION_RESIDUAL,
     _corner_residual_batch,
+    _draw_trials,
     _natural_frames,
     _sample_batch,
+    _TrialCache,
     check_compressible,
     corner_residual,
     fold_corner,
@@ -220,6 +225,182 @@ def test_sampler_matches_reference_bitwise(n, mode):
             ref_es, ref_kinds = _reference_sample_batch(n, mode, 9, t0, bsz)
             assert np.array_equal(es, ref_es), (t0, bsz)
             assert kinds == ref_kinds
+
+
+# ---------------------------------------------------------------- trial cache
+
+
+def _cache(max_keys=16, max_trials=2048, max_bytes=64 << 20):
+    return _TrialCache(max_keys=max_keys, max_trials=max_trials, max_bytes=max_bytes)
+
+
+def _assert_window_matches_draw(es, n, mode, seed, t0, bsz):
+    assert np.array_equal(es, _draw_trials(n, mode, seed, t0, bsz)), (t0, bsz)
+
+
+def _assert_within_bounds(cache):
+    assert len(cache._entries) <= cache.max_keys
+    assert cache.nbytes == sum(e.buf.nbytes for e in cache._entries.values())
+    assert cache.nbytes <= cache.max_bytes
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("mode", ["idempotent", "projection"])
+def test_cached_trials_match_the_draw_bitwise(n, mode):
+    cache = _cache(max_keys=4)
+    for chunk in (4, 17, 177, 256):
+        seed = chunk
+        # cold: each window extends the prefix by exactly its own trials
+        for t0 in range(0, 520, chunk):
+            _assert_window_matches_draw(cache.window(n, mode, seed, t0, chunk),
+                                        n, mode, seed, t0, chunk)
+            assert cache._entries[(n, mode, seed)].filled == t0 + chunk
+        filled = cache._entries[(n, mode, seed)].filled
+        # warm: windows inside the prefix, and one that runs past its end
+        for t0, bsz in ((0, chunk), (5, chunk), (chunk + 3, chunk), (filled - 2, chunk)):
+            _assert_window_matches_draw(cache.window(n, mode, seed, t0, bsz),
+                                        n, mode, seed, t0, bsz)
+        assert cache._entries[(n, mode, seed)].filled == filled - 2 + chunk
+        _assert_within_bounds(cache)
+
+
+def test_trial_cache_bounds():
+    cache = _cache(max_keys=3, max_trials=64)
+    for seed in range(8):
+        cache.window(4, "idempotent", seed, 0, 8)
+        _assert_within_bounds(cache)
+        cache.window(4, "idempotent", 0, 0, 8)  # keeps seed 0 the most recent
+    assert list(cache._entries) == [(4, "idempotent", 6), (4, "idempotent", 7),
+                                    (4, "idempotent", 0)]
+    # the prefix stops at max_trials; a window past it or past a gap is not kept
+    cache.window(4, "idempotent", 0, 8, 100)
+    cache.window(4, "idempotent", 0, 0, 64)
+    cache.window(4, "idempotent", 0, 60, 10)
+    cache.window(4, "idempotent", 7, 20, 4)
+    cache.window(4, "idempotent", 99, 3, 4)
+    assert list(cache._entries) == [(4, "idempotent", 6), (4, "idempotent", 7),
+                                    (4, "idempotent", 0)]
+    assert cache._entries[(4, "idempotent", 0)].filled == 64
+    assert cache._entries[(4, "idempotent", 7)].filled == 8
+    assert len(cache._entries[(4, "idempotent", 0)].buf) == 64
+    _assert_window_matches_draw(cache.window(4, "idempotent", 0, 60, 10),
+                                4, "idempotent", 0, 60, 10)
+    es = cache.window(4, "idempotent", 0, 3, 9)
+    assert not es.flags.writeable
+    with pytest.raises(ValueError):
+        es.flags.writeable = True
+    # the shared cache stays within its bounds however many checks run
+    alg = make_family("DIAGONAL", 4)
+    for seed in range(checker._TRIALS.max_keys + 5):
+        check_compressible(alg, trials=8, seed=seed, use_catalog=False)
+        _assert_within_bounds(checker._TRIALS)
+
+
+def test_trial_cache_byte_budget_caps_and_evicts_by_size():
+    # 40 trials of 4 x 4 fill the budget; a trial of 8 x 8 costs four times more
+    cache = _cache(max_keys=8, max_trials=64, max_bytes=40 * 16 * 4 * 4)
+    for seed in range(3):
+        cache.window(4, "projection", seed, 0, 16)
+        _assert_within_bounds(cache)
+    assert len(cache._entries) == 2  # a third 16-trial key would not fit
+    # 4 trials of 8 x 8 evict the least recent key to fit
+    cache.window(8, "projection", 0, 0, 4)
+    _assert_within_bounds(cache)
+    assert list(cache._entries) == [(4, "projection", 2), (8, "projection", 0)]
+    # a prefix stops where its buffer alone would pass the budget: 10 trials
+    _assert_window_matches_draw(cache.window(8, "projection", 0, 4, 8), 8, "projection", 0, 4, 8)
+    assert cache._entries[(8, "projection", 0)].filled == 4
+    cache.window(8, "projection", 0, 4, 6)
+    assert cache._entries[(8, "projection", 0)].filled == 10
+    _assert_within_bounds(cache)
+    # the key just read stays: it alone fills the budget, the others go
+    cache.window(4, "projection", 5, 0, 40)
+    _assert_within_bounds(cache)
+    assert list(cache._entries) == [(4, "projection", 5)]
+    assert cache.nbytes == cache.max_bytes
+    # n so large that one trial passes the budget: nothing is kept
+    _assert_window_matches_draw(cache.window(26, "projection", 0, 0, 1), 26, "projection", 0, 0, 1)
+    assert list(cache._entries) == [(4, "projection", 5)]
+
+
+def test_trial_cache_serves_concurrent_windows():
+    # four threads on three keys of a two-key cache: hits, extensions,
+    # evictions and uncached windows interleave under a short switch interval
+    cache = _cache(max_keys=2, max_trials=64)
+    errors = []
+
+    def worker(w):
+        try:
+            for i in range(40):
+                seed, t0 = (w + i) % 3, (7 * i) % 48
+                _assert_window_matches_draw(cache.window(4, "idempotent", seed, t0, 9),
+                                            4, "idempotent", seed, t0, 9)
+                assert len(cache._entries) <= 2
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    _assert_within_bounds(cache)
+
+
+def _fields(report):
+    return (report.mode, report.seed, report.requested_trials, report.trials_run,
+            report.catalog_corners, report.indeterminate,
+            [(v.kind, v.index, v.witness.tobytes(), v.residual) for v in report.violations])
+
+
+def _evict_shared_cache():
+    for k in range(checker._TRIALS.max_keys):
+        checker._TRIALS.window(2, "projection", 10**6 + k, 0, 1)
+
+
+@pytest.mark.parametrize("stop", [True, False])
+@pytest.mark.parametrize("tag,use_catalog", [("DIAGONAL", True), ("DIAGONAL", False),
+                                             ("EX2", True)])
+def test_reports_identical_cold_warm_evicted_and_uncached(monkeypatch, tag, use_catalog, stop):
+    alg = random_instance(make_family(tag, 4), "similarity", seed=7)
+    kw = dict(trials=300, seed=41, use_catalog=use_catalog, stop_on_violation=stop)
+    _evict_shared_cache()
+    cold = _fields(check_compressible(alg, **kw))
+    assert bool(cold[6]) == (tag == "DIAGONAL")
+    assert _fields(check_compressible(alg, **kw)) == cold
+    _evict_shared_cache()
+    check_compressible(alg, **dict(kw, trials=9))  # a short prefix, then the rest
+    assert _fields(check_compressible(alg, **kw)) == cold
+    monkeypatch.setattr(checker, "_TRIALS", _cache(max_trials=0))
+    assert _fields(check_compressible(alg, **kw)) == cold
+
+
+def test_trials_past_the_cap_are_drawn_uncached(monkeypatch):
+    alg = make_family("DIAGONAL", 4)
+    kw = dict(trials=checker._TRIALS.max_trials + 37, seed=43, use_catalog=False,
+              stop_on_violation=False)
+    cached = _fields(check_compressible(alg, **kw))
+    assert cached[3] == kw["trials"] and cached[6][-1][1] >= checker._TRIALS.max_trials
+    assert checker._TRIALS._entries[(4, "idempotent", 43)].filled == checker._TRIALS.max_trials
+    assert _fields(check_compressible(alg, **kw)) == cached
+    monkeypatch.setattr(checker, "_TRIALS", _cache(max_trials=0))
+    assert _fields(check_compressible(alg, **kw)) == cached
+
+
+def test_editing_a_witness_leaves_later_checks_unchanged():
+    alg = make_family("DIAGONAL", 4)
+    kw = dict(trials=40, seed=44, use_catalog=False)
+    first = check_compressible(alg, **kw)
+    expected = _fields(first)
+    first.first_violation().witness[...] = 0.0
+    assert _fields(check_compressible(alg, **kw)) == expected
 
 
 def test_negative_trials_rejected():

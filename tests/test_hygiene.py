@@ -1,7 +1,7 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
 one place that turns rank_eps_factor into a rank cutoff, one span equality
-decision and one scalar-group scan in the classifier. Also: importing the command line does
-not import scipy."""
+decision and one scalar-group scan in the classifier, and trials drawn only
+by the trial cache. Also: importing the command line does not import scipy."""
 
 import ast
 import os
@@ -93,9 +93,9 @@ def _calls_equals(node):
             and node.func.attr == "equals")
 
 
-def _calls_corner_scalar(node):
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "_corner_scalar")
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
 
 
 def test_rank_cutoff_has_one_policy():
@@ -119,11 +119,18 @@ def test_classifier_decides_span_equality_only_in_certify():
 
 def test_classifier_scans_for_scalar_groups_only_in_scalar_run():
     # the route reads every outer group off the two runs of _scalar_run
-    calls = _found(SRC / "classifier.py", _calls_corner_scalar)
+    calls = _found(SRC / "classifier.py", _calls("_corner_scalar"))
     stray = [f"classifier.py:{line} in {where or '<module>'}"
              for where, line in calls if where != "_scalar_run"]
     assert not stray, f"scalar tests outside _scalar_run: {stray}"
     assert any(where == "_scalar_run" for where, _ in calls)
+
+
+def test_trials_are_drawn_only_through_the_trial_cache():
+    # every check reads its trials from the cache; no uncached path beside it
+    calls = {(path.stem, where) for path in MODULES
+             for where, _ in _found(path, _calls("_draw_trials"))}
+    assert calls == {("checker", "_TrialCache.window")}, calls
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _RETRY_BUDGET = 32
+# trapezoidal nodes on a Riesz projection's circle; 32 left errors near 1e-8
+_RIESZ_NODES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,30 +392,34 @@ def support_columns(mats: Sequence[np.ndarray], side: str, tol: Tolerance = DEFA
 
 
 def _riesz_projection(a: np.ndarray, labels: np.ndarray, width: float) -> np.ndarray:
-    """Spectral projection of a onto the eigenvalues within width of the labels."""
-    # imported here: scipy is most of the package's import time, and many
-    # decisions never build a Riesz projection
-    import scipy.linalg
+    """Spectral projection of a onto the eigenvalues within width of the labels.
 
+    The cluster's projection is the resolvent integral (2πi)⁻¹ ∮ (z − a)⁻¹ dz
+    over the circle |z − c| = ρ, with c the cluster's mean eigenvalue and ρ
+    halfway between the cluster's radius r_in and the distance r_out from c
+    to the rest of the spectrum. The trapezoidal rule on N = _RIESZ_NODES
+    midpoint nodes converges geometrically (Trefethen and Weideman, SIAM
+    Review 2014); its error is near max(r_in/ρ, ρ/r_out)^N. A cluster with
+    r_in > r_out/4 raises NumericalFailureError, which caps that error near
+    (5/8)^64 ≈ 1e-13; unhinge then retries with another element.
+    """
     n = a.shape[0]
-
-    def sel(lam):
-        return bool(np.min(np.abs(lam - labels)) < width)
-
-    t, z, sdim = scipy.linalg.schur(a, output="complex", sort=sel)
-    k = int(sdim)
+    vals = np.linalg.eigvals(a)
+    inside = np.min(np.abs(vals[:, None] - labels[None, :]), axis=1) < width
+    k = int(np.count_nonzero(inside))
     if k == 0:
         raise NumericalFailureError("empty Riesz cluster")
     if k == n:
         return np.eye(n, dtype=np.complex128)
-    t11 = t[:k, :k]
-    t12 = t[:k, k:]
-    t22 = t[k:, k:]
-    r = scipy.linalg.solve_sylvester(t11, -t22, t12)
-    p = np.zeros((n, n), dtype=np.complex128)
-    p[:k, :k] = np.eye(k)
-    p[:k, k:] = r
-    return z @ p @ z.conj().T
+    c = np.mean(vals[inside])
+    r_in = float(np.max(np.abs(vals[inside] - c)))
+    r_out = float(np.min(np.abs(vals[~inside] - c)))
+    if r_in > r_out / 4.0:
+        raise NumericalFailureError("Riesz cluster not separated from the rest of the spectrum")
+    rho = (r_in + r_out) / 2.0
+    w = np.exp(2j * np.pi * (np.arange(_RIESZ_NODES) + 0.5) / _RIESZ_NODES)
+    resolvents = np.linalg.inv((c + rho * w)[:, None, None] * np.eye(n) - a)
+    return (rho / _RIESZ_NODES) * np.tensordot(w, resolvents, axes=(0, 0))
 
 
 def _pick_coupler(

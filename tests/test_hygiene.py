@@ -1,15 +1,21 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
 one place that turns rank_eps_factor into a rank cutoff, one span equality
 decision and one scalar-group scan in the classifier, and trials drawn only
-by the trial cache. Also: importing the command line does not import scipy."""
+by the trial cache. Also: the package imports no scipy and no third-party
+module that pyproject does not declare, and a classify request that builds
+Riesz projections leaves scipy unloaded."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from corneralg import io, make_family, random_instance, wedderburn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corneralg"
 MODULES = sorted(SRC.glob("*.py"))
@@ -133,12 +139,63 @@ def test_trials_are_drawn_only_through_the_trial_cache():
     assert calls == {("checker", "_TrialCache.window")}, calls
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported where a Riesz projection is built: a request that
-    # builds none does not pay for it
+def _imported_modules(tree):
+    """(dotted module name, line) of every absolute import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and ((isinstance(node.func, ast.Name) and node.func.id == "__import__")
+                   or (isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "import_module"))):
+            yield node.args[0].value, node.lineno
+
+
+def test_package_imports_no_scipy():
+    # Riesz projections are built by numpy alone; scipy serves only as a
+    # test reference
+    found = [f"{path.name}:{line} {name}" for path in MODULES
+             for name, line in _imported_modules(_tree(path))
+             if name.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+                for dep in pyproject["project"]["dependencies"]}
+    imported = {name.split(".")[0] for path in MODULES
+                for name, _ in _imported_modules(_tree(path))}
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "corneralg"}
+    assert third_party == declared
+
+
+def _child_env():
     path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, corneralg.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, env=_child_env(),
     )
     assert out.stdout.strip() == "False"
+
+
+def test_classify_request_through_riesz_projections_leaves_scipy_unloaded(tmp_path):
+    alg = random_instance(make_family("EX2", 5), disguise="similarity", seed=0)
+    # the request must unhinge: the fast path builds no Riesz projection
+    assert not np.allclose(wedderburn(alg).s_unhinge, np.eye(5))
+    path = tmp_path / "ex2.json"
+    io.write_algebra(path, alg)
+    code = ("import sys; from corneralg import cli; "
+            f"code = cli.main(['classify', {str(path)!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=_child_env())
+    assert out.stdout.split()[-2:] == ["0", "False"], out.stdout

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corneralg.matcore import haar_unitary
+from corneralg.matcore import NumericalFailureError, haar_unitary, random_similarity
 from corneralg.subalgebra import (
     MatrixAlgebra,
     algebra_from_span,
@@ -12,6 +12,7 @@ from corneralg.subalgebra import (
     subspace_from,
 )
 from corneralg.structure import (
+    _riesz_projection,
     bd_algebra,
     bd_part,
     radical,
@@ -300,3 +301,89 @@ def test_support_columns_col_and_row():
     assert row.shape == (4, 2)
     with pytest.raises(ValueError):
         support_columns(mats, "diag")
+
+
+# ---------------------------------------------------------------- Riesz projection
+
+
+def _schur_sylvester_projection(a, labels, width):
+    """Reference: sorted complex Schur form, then one Sylvester solve."""
+    sla = pytest.importorskip("scipy.linalg")
+    n = a.shape[0]
+    t, z, k = sla.schur(
+        a, output="complex", sort=lambda lam: bool(np.min(np.abs(lam - labels)) < width)
+    )
+    if k == n:
+        return np.eye(n, dtype=np.complex128)
+    p = np.zeros((n, n), dtype=np.complex128)
+    p[:k, :k] = np.eye(k)
+    p[:k, k:] = sla.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
+    return z @ p @ z.conj().T
+
+
+def _rel_diff(p, q):
+    return np.linalg.norm(p - q) / np.linalg.norm(q)
+
+
+def _clustered_block_upper(rng):
+    """Block upper triangular, scalar diagonal blocks of sizes 1-3 on the unit circle."""
+    n = int(rng.integers(4, 7))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 4)), n - sum(sizes)))
+    centers = np.exp(2j * np.pi * np.arange(len(sizes)) / len(sizes))
+    d = np.repeat(centers, sizes)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.diag(d) + np.triu(noise, 1) * (d[:, None] != d[None, :]), centers
+
+
+def test_riesz_projection_matches_schur_sylvester_under_similarity():
+    # measured over these 60 inputs: relative difference 2.0e-12 in the median
+    # and 1.7e-10 at most, where ||P||_2 = 5.6e2; against the transported exact
+    # projection the contour is no further off than the reference
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(60):
+        t, centers = _clustered_block_upper(rng)
+        s = random_similarity(t.shape[0], rng, max_cond=1e3)
+        a = s @ t @ np.linalg.inv(s)
+        labels = centers[int(rng.integers(len(centers))):][:1]
+        p = _riesz_projection(a, labels, 1e-6 / 3.0)
+        worst = max(worst, _rel_diff(p, _schur_sylvester_projection(a, labels, 1e-6 / 3.0)))
+    assert worst < 1e-8, worst
+
+
+def test_riesz_projection_of_a_defective_cluster():
+    # a 2x2 Jordan cell at 0 beside simple eigenvalues 1 and 2: measured, the
+    # contour is within 5.1e-15 of the reference, while the eigenvector
+    # shortcut V[:, in] inv(V)[in, :] is off by 2.4e-9 or more
+    rng = np.random.default_rng(7)
+    labels = np.array([0j])
+    for _ in range(10):
+        t = np.diag([0.0, 0.0, 1.0, 2.0]).astype(np.complex128)
+        t[0, 1] = 1.0
+        t[0, 2], t[1, 3] = rng.standard_normal(2)
+        s = random_similarity(4, rng, max_cond=10.0)
+        a = s @ t @ np.linalg.inv(s)
+        ref = _schur_sylvester_projection(a, labels, 1e-6)
+        assert _rel_diff(_riesz_projection(a, labels, 1e-6), ref) < 1e-12
+        vals, v = np.linalg.eig(a)
+        inside = np.abs(vals) < 1e-6
+        shortcut = v[:, inside] @ np.linalg.inv(v)[inside, :]
+        assert _rel_diff(shortcut, ref) > 1e-10
+
+
+def test_riesz_projection_raises_and_returns_identity():
+    a = np.diag([0.0, 1.0, 2.0, 3.0]).astype(np.complex128)
+    with pytest.raises(NumericalFailureError, match="empty Riesz cluster"):
+        _riesz_projection(a, np.array([5.0]), 1e-3)
+    # every eigenvalue in the cluster: the projection is I
+    full = _riesz_projection(a, np.array([0.0, 1.0, 2.0, 3.0]), 1e-3)
+    assert np.array_equal(full, np.eye(4))
+    assert np.allclose(_schur_sylvester_projection(a, np.array([0.0, 1.0, 2.0, 3.0]), 1e-3), full)
+    # cluster {0, 1} around 0.5 has radius 0.5 > (distance 1.5 to 2) / 4
+    with pytest.raises(NumericalFailureError, match="not separated"):
+        _riesz_projection(a, np.array([0.0, 1.0]), 1e-3)
+    # the well-separated cluster {0} is computed
+    p = _riesz_projection(a, np.array([0.0]), 1e-3)
+    assert np.allclose(p, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-13)

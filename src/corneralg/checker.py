@@ -9,20 +9,19 @@ through coordinate and random frames) with seeded random trials.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .matcore import (
-    _RANK_FLOOR,
     NumericalFailureError,
     ShapeMismatchError,
     Tolerance,
     as_matrix,
     haar_unitary,
+    numerical_ranks,
 )
 from .subalgebra import MatrixAlgebra, closure_defect, subspace_from
 
@@ -80,7 +79,7 @@ def _entry(num, den):
 
 
 def witness_catalog(n: int):
-    """Fixed witness projections of size n, deduplicated, as (name, matrix) pairs."""
+    """Fixed witness projections of size n, pairwise distinct, as (name, matrix) pairs."""
     entries = []
     if n == 4:
         entries.append(
@@ -118,14 +117,10 @@ def witness_catalog(n: int):
         entries.append(
             ("rank2-pair-13", _entry([[1, 0, 1], [0, 2, 0], [1, 0, 1]], 2))
         )
-    out = []
     for name, p in entries:
-        if any(np.allclose(p, q, atol=1e-12) for _, q in out):
-            continue
         if np.linalg.norm(p @ p - p) > 1e-12:
             raise AssertionError(f"catalog entry {name} is not idempotent")
-        out.append((name, p))
-    return out
+    return entries
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -149,13 +144,13 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     maps to D_a C_b with D_a = S V* a U, the d^2 products of one corner are
     one (dk x k)(k x dk) GEMM, and a product's distance from the span is the
     norm of its coordinates on the right singular vectors of the C_a stack
-    past the span's rank. The ranks of E and of the corner span follow
-    matcore.numerical_rank, batched.
+    past the span's rank. The ranks of E and of the corner span are
+    matcore.numerical_ranks.
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
     u, s, vh = np.linalg.svd(es)
-    ranks = (s > np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)).sum(axis=1)
+    ranks = numerical_ranks(s, tol)
     rel = np.zeros(bsz)
     dims = np.zeros(bsz, dtype=np.intp)
     # bt[p, (a, q)] = a[p, q]: then S V* a U for every a is two plain GEMMs
@@ -174,7 +169,7 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
         # the complement of the span needs all k^2 right singular vectors
         _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, kk),
                                    full_matrices=d < kk)
-        r = (cs > np.maximum(tol.rank_eps_factor * cs[:, :1], _RANK_FLOOR)).sum(axis=1)
+        r = numerical_ranks(cs, tol)
         dims[sel] = r
         if d >= kk:
             # d matrices span all of M_k only if d >= k^2
@@ -222,7 +217,7 @@ def _natural_frames(n: int, s: int, u: np.ndarray | None):
     return frames
 
 
-def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
+def _catalog_pass(alg: MatrixAlgebra, u, rng, violations: list, stop_on_violation: bool):
     basis = _basis_stack(alg)
     n = alg.n
     corners = 0
@@ -237,12 +232,10 @@ def _catalog_pass(alg: MatrixAlgebra, u, rng, collect, stop_on_violation: bool):
             rel, _ = _corner_residual_batch(basis, es, alg.tol)
             corners += len(frames)
             for k in np.nonzero(rel > VIOLATION_RESIDUAL)[0]:
-                collect(Violation(kind=f"catalog:{name}", index=int(k),
-                                  witness=es[k], residual=float(rel[k])))
+                violations.append(Violation(kind=f"catalog:{name}", index=int(k),
+                                            witness=es[k], residual=float(rel[k])))
                 if stop_on_violation:
                     return corners
-            if stop_on_violation and collect.found:
-                return corners
     return corners
 
 
@@ -284,97 +277,32 @@ def _draw_trials(n: int, mode: str, seed: int, t0: int, bsz: int) -> np.ndarray:
     return es
 
 
-class _TrialPrefix:
-    """The first `filled` trials of one stream, in a read-only buffer that
-    grows geometrically up to `cap` trials."""
-
-    def __init__(self, n: int, cap: int):
-        self.cap = cap
-        self.filled = 0
-        self.buf = np.empty((0, n, n), dtype=np.complex128)
-
-    def extend(self, es: np.ndarray) -> None:
-        stop = self.filled + len(es)
-        if stop > len(self.buf):
-            grown = np.empty((min(self.cap, max(stop, 2 * self.filled)), *es.shape[1:]),
-                             es.dtype)
-            grown[: self.filled] = self.buf[: self.filled]
-            self.buf = grown
-        self.buf.flags.writeable = True
-        self.buf[self.filled : stop] = es
-        self.buf.flags.writeable = False
-        self.filled = stop
+def _block_trials(n: int) -> int:
+    """Trials in one 64 KB block of an n x n stream; one trial above n = 64."""
+    return max(1, 65536 // (16 * n * n))
 
 
-class _TrialCache:
-    """Trial idempotents, drawn once per (n, mode, seed).
-
-    Trials do not depend on the algebra, so each key keeps a prefix of its
-    stream and serves any window of it as a read-only slice. A window that
-    starts inside the prefix extends it by exactly the trials it lacks. A
-    window past the key's cap, or past the end of a prefix it cannot extend,
-    is drawn uncached. The cap is max_trials, or fewer when that many n x n
-    trials would not fit in max_bytes. Keys go least recently used first
-    while there are more than max_keys of them or their buffers hold more
-    than max_bytes; the key just read is never one of them, so the buffers
-    never hold more than max_bytes together.
-    """
-
-    def __init__(self, max_keys: int, max_trials: int, max_bytes: int):
-        self.max_keys = max_keys
-        self.max_trials = max_trials
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def window(self, n: int, mode: str, seed: int, t0: int, bsz: int) -> np.ndarray:
-        """Idempotents for trials t0..t0+bsz-1 of the (n, mode, seed) stream."""
-        stop = t0 + bsz
-        key = (n, mode, seed)
-        cap = min(self.max_trials, self.max_bytes // (16 * n * n))
-        with self._lock:
-            entry = self._entries.get(key)
-            filled = 0 if entry is None else entry.filled
-            if t0 <= filled and stop <= cap:
-                # out of the table while it grows, back in as the most recent
-                entry = self._entries.pop(key, None) or _TrialPrefix(n, cap)
-                self.nbytes -= entry.buf.nbytes
-                if filled < stop:
-                    entry.extend(_draw_trials(n, mode, seed, filled, stop - filled))
-                self._entries[key] = entry
-                self.nbytes += entry.buf.nbytes
-                while len(self._entries) > self.max_keys or self.nbytes > self.max_bytes:
-                    self.nbytes -= self._entries.popitem(last=False)[1].buf.nbytes
-                return entry.buf[t0:stop]
-        return _draw_trials(n, mode, seed, t0, bsz)
-
-
-# 16 keys cover the ten seeds the acceptance corpus cycles through at one n;
-# 2048 trials cover the 500, 1536 and 2000 that the package and tests run,
-# 1.2 MB a key at n = 6; 64 MB bounds the whole cache at any n
-_TRIALS = _TrialCache(max_keys=16, max_trials=2048, max_bytes=64 << 20)
+@lru_cache(maxsize=1024)
+def _trial_block(n: int, mode: str, seed: int, j: int) -> np.ndarray:
+    """Block j of the (n, mode, seed) trial stream, drawn once and read-only."""
+    size = _block_trials(n)
+    es = _draw_trials(n, mode, seed, j * size, size)
+    es.flags.writeable = False
+    return es
 
 
 def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
-    """Idempotents and kinds for trials t0..t0+bsz-1, read from the trial cache.
+    """Idempotents and kinds for trials t0..t0+bsz-1, read from the cached blocks.
 
-    The idempotents are read-only and shared with every later check.
+    A window inside one block is a read-only view shared with every later check.
     """
-    es = _TRIALS.window(n, mode, seed, t0, bsz)
-    return es, ["idempotent" if i else "projection" for i in _twisted(mode, t0, bsz).tolist()]
-
-
-class _Collector:
-    def __init__(self):
-        self.items = []
-
-    @property
-    def found(self):
-        return bool(self.items)
-
-    def __call__(self, v):
-        self.items.append(v)
+    size = _block_trials(n)
+    first, lo = divmod(t0, size)
+    blocks = [_trial_block(n, mode, seed, j)
+              for j in range(first, (t0 + bsz - 1) // size + 1)]
+    es = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    kinds = ["idempotent" if i else "projection" for i in _twisted(mode, t0, bsz).tolist()]
+    return es[lo : lo + bsz], kinds
 
 
 def check_compressible(
@@ -393,15 +321,12 @@ def check_compressible(
     condition number. Ranks sweep 1..n-1 round robin. Every trial draws from
     its own substream, so reports are reproducible given the seed.
 
-    The trials do not depend on the algebra, so they are drawn once per
-    (n, mode, seed) and kept as a read-only prefix of that stream: a later
-    check reads the trials it needs from the prefix and draws only those
-    past its end. A prefix holds at most 2048 trials, and fewer when 2048
-    trials of size n would pass 64 MB; later trials are drawn afresh for
-    each check. A trial costs 16 n^2 bytes, so a 500-trial key holds about
-    0.3 MB at n = 6. At most 16 keys are kept, and at most 64 MB of trials
-    at any n, least recently used first out. A report's witnesses are
-    copies, never views of these arrays.
+    The trials do not depend on the algebra, so each (n, mode, seed) stream
+    is cut into read-only 64 KB blocks of max(1, 65536 // (16 n^2)) trials,
+    each drawn once: 256 trials at n = 4, 113 at n = 6. The 1024 most
+    recently used blocks are kept, at most 64 MB for n <= 64; above n = 64 a
+    block holds one trial. A report's witnesses are copies, never views of
+    these blocks.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -412,7 +337,7 @@ def check_compressible(
         return CheckReport(mode=mode, seed=seed, requested_trials=trials, trials_run=0,
                            catalog_corners=0, indeterminate=0, violations=())
     basis = _basis_stack(alg)
-    collect = _Collector()
+    violations = []
     catalog_corners = 0
     if use_catalog:
         u = None
@@ -426,12 +351,12 @@ def check_compressible(
             except NumericalFailureError:
                 u = None
         catalog_corners = _catalog_pass(
-            alg, u, np.random.default_rng([seed, 999]), collect, stop_on_violation
+            alg, u, np.random.default_rng([seed, 999]), violations, stop_on_violation
         )
-        if collect.found and stop_on_violation:
+        if violations and stop_on_violation:
             return CheckReport(mode=mode, seed=seed, requested_trials=trials,
                                trials_run=0, catalog_corners=catalog_corners,
-                               indeterminate=0, violations=tuple(collect.items))
+                               indeterminate=0, violations=tuple(violations))
 
     indeterminate = 0
     trials_run = 0
@@ -446,10 +371,10 @@ def check_compressible(
         indeterminate += int(np.count_nonzero((rel > PASS_RESIDUAL) & (rel <= VIOLATION_RESIDUAL)))
         bad = np.nonzero(rel > VIOLATION_RESIDUAL)[0]
         for k in bad:
-            # a copy: the cache's arrays are shared by every later check
-            collect(Violation(kind=kinds[k], index=trial + int(k),
-                              witness=es[k].copy(), residual=float(rel[k])))
-        if collect.found and stop_on_violation:
+            # a copy: the cached blocks are shared by every later check
+            violations.append(Violation(kind=kinds[k], index=trial + int(k),
+                                        witness=es[k].copy(), residual=float(rel[k])))
+        if violations and stop_on_violation:
             break
         trial += bsz
     return CheckReport(
@@ -459,7 +384,7 @@ def check_compressible(
         trials_run=trials_run,
         catalog_corners=catalog_corners,
         indeterminate=indeterminate,
-        violations=tuple(collect.items),
+        violations=tuple(violations),
     )
 
 

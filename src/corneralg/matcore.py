@@ -24,6 +24,7 @@ __all__ = [
     "unvec",
     "svd_factor",
     "numerical_rank",
+    "numerical_ranks",
     "rank_tol",
     "orthonormal_span",
     "haar_unitary",
@@ -110,12 +111,17 @@ def numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
     """Count of the descending singular values s above max(rank_eps_factor*s[0], floor).
 
     The package's rank policy: every rank cut by rank_eps_factor goes through
-    it, and the corner kernel applies it batched.
+    it or through numerical_ranks, its row-wise form.
     """
     if s.size == 0 or s[0] == 0.0:
         return 0
     thr = max(tol.rank_eps_factor * float(s[0]), _RANK_FLOOR)
     return int(np.count_nonzero(s > thr))
+
+
+def numerical_ranks(s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """numerical_rank of each row of a (B, k) stack of descending singular values."""
+    return (s > np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)).sum(axis=1)
 
 
 def rank_tol(x, tol: Tolerance = DEFAULT_TOL) -> int:

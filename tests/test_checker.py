@@ -11,11 +11,12 @@ from corneralg import checker
 from corneralg.checker import (
     PASS_RESIDUAL,
     VIOLATION_RESIDUAL,
+    _block_trials,
     _corner_residual_batch,
     _draw_trials,
     _natural_frames,
     _sample_batch,
-    _TrialCache,
+    _trial_block,
     check_compressible,
     corner_residual,
     fold_corner,
@@ -61,6 +62,8 @@ def test_catalog_entries_are_projections_with_expected_ranks():
     cat3 = witness_catalog(3)
     assert len(cat3) == 1 and int(round(np.trace(cat3[0][1]).real)) == 2
     assert witness_catalog(5) == []
+    for (a, p), (b, q) in combinations(witness_catalog(4), 2):
+        assert not np.allclose(p, q, atol=1e-12), (a, b)
 
 
 def test_outer_pair_identity_for_block_upper():
@@ -230,112 +233,57 @@ def test_sampler_matches_reference_bitwise(n, mode):
 # ---------------------------------------------------------------- trial cache
 
 
-def _cache(max_keys=16, max_trials=2048, max_bytes=64 << 20):
-    return _TrialCache(max_keys=max_keys, max_trials=max_trials, max_bytes=max_bytes)
+def _assert_window_matches_draw(n, mode, seed, t0, bsz):
+    es, _ = _sample_batch(n, mode, seed, t0, bsz)
+    assert np.array_equal(es, _draw_trials(n, mode, seed, t0, bsz)), (n, t0, bsz)
 
 
-def _assert_window_matches_draw(es, n, mode, seed, t0, bsz):
-    assert np.array_equal(es, _draw_trials(n, mode, seed, t0, bsz)), (t0, bsz)
-
-
-def _assert_within_bounds(cache):
-    assert len(cache._entries) <= cache.max_keys
-    assert cache.nbytes == sum(e.buf.nbytes for e in cache._entries.values())
-    assert cache.nbytes <= cache.max_bytes
-
-
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 26])
 @pytest.mark.parametrize("mode", ["idempotent", "projection"])
 def test_cached_trials_match_the_draw_bitwise(n, mode):
-    cache = _cache(max_keys=4)
-    for chunk in (4, 17, 177, 256):
-        seed = chunk
-        # cold: each window extends the prefix by exactly its own trials
+    size = _block_trials(n)
+    _trial_block.cache_clear()
+    # inside a block, across one edge, across several, and past trial 2048;
+    # cold, then warm
+    windows = [(0, 1), (3, size - 3), (size - 2, 4), (size - 1, 2 * size + 2), (2045, 9)]
+    for t0, bsz in windows + windows:
+        _assert_window_matches_draw(n, mode, 5, t0, bsz)
+    # a check's walk in chunks that do not divide the block
+    for chunk in (17, 177):
         for t0 in range(0, 520, chunk):
-            _assert_window_matches_draw(cache.window(n, mode, seed, t0, chunk),
-                                        n, mode, seed, t0, chunk)
-            assert cache._entries[(n, mode, seed)].filled == t0 + chunk
-        filled = cache._entries[(n, mode, seed)].filled
-        # warm: windows inside the prefix, and one that runs past its end
-        for t0, bsz in ((0, chunk), (5, chunk), (chunk + 3, chunk), (filled - 2, chunk)):
-            _assert_window_matches_draw(cache.window(n, mode, seed, t0, bsz),
-                                        n, mode, seed, t0, bsz)
-        assert cache._entries[(n, mode, seed)].filled == filled - 2 + chunk
-        _assert_within_bounds(cache)
+            _assert_window_matches_draw(n, mode, chunk, t0, chunk)
 
 
 def test_trial_cache_bounds():
-    cache = _cache(max_keys=3, max_trials=64)
-    for seed in range(8):
-        cache.window(4, "idempotent", seed, 0, 8)
-        _assert_within_bounds(cache)
-        cache.window(4, "idempotent", 0, 0, 8)  # keeps seed 0 the most recent
-    assert list(cache._entries) == [(4, "idempotent", 6), (4, "idempotent", 7),
-                                    (4, "idempotent", 0)]
-    # the prefix stops at max_trials; a window past it or past a gap is not kept
-    cache.window(4, "idempotent", 0, 8, 100)
-    cache.window(4, "idempotent", 0, 0, 64)
-    cache.window(4, "idempotent", 0, 60, 10)
-    cache.window(4, "idempotent", 7, 20, 4)
-    cache.window(4, "idempotent", 99, 3, 4)
-    assert list(cache._entries) == [(4, "idempotent", 6), (4, "idempotent", 7),
-                                    (4, "idempotent", 0)]
-    assert cache._entries[(4, "idempotent", 0)].filled == 64
-    assert cache._entries[(4, "idempotent", 7)].filled == 8
-    assert len(cache._entries[(4, "idempotent", 0)].buf) == 64
-    _assert_window_matches_draw(cache.window(4, "idempotent", 0, 60, 10),
-                                4, "idempotent", 0, 60, 10)
-    es = cache.window(4, "idempotent", 0, 3, 9)
-    assert not es.flags.writeable
+    # 1024 blocks of at most 64 KB each: 64 MB for n <= 64
+    assert _trial_block.cache_info().maxsize == 1024
+    assert [_block_trials(n) for n in (4, 6, 26, 64, 65)] == [256, 113, 6, 1, 1]
+    assert all(16 * n * n * _block_trials(n) <= 65536 for n in range(2, 65))
+    assert _trial_block(6, "idempotent", 3, 0).nbytes == 16 * 6 * 6 * 113
+
+
+def test_shared_blocks_are_read_only():
+    block = _trial_block(4, "idempotent", 3, 0)
+    es, _ = _sample_batch(4, "idempotent", 3, 5, 9)
+    assert np.shares_memory(es, block)
+    for arr in (block, es):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         es.flags.writeable = True
-    # the shared cache stays within its bounds however many checks run
-    alg = make_family("DIAGONAL", 4)
-    for seed in range(checker._TRIALS.max_keys + 5):
-        check_compressible(alg, trials=8, seed=seed, use_catalog=False)
-        _assert_within_bounds(checker._TRIALS)
-
-
-def test_trial_cache_byte_budget_caps_and_evicts_by_size():
-    # 40 trials of 4 x 4 fill the budget; a trial of 8 x 8 costs four times more
-    cache = _cache(max_keys=8, max_trials=64, max_bytes=40 * 16 * 4 * 4)
-    for seed in range(3):
-        cache.window(4, "projection", seed, 0, 16)
-        _assert_within_bounds(cache)
-    assert len(cache._entries) == 2  # a third 16-trial key would not fit
-    # 4 trials of 8 x 8 evict the least recent key to fit
-    cache.window(8, "projection", 0, 0, 4)
-    _assert_within_bounds(cache)
-    assert list(cache._entries) == [(4, "projection", 2), (8, "projection", 0)]
-    # a prefix stops where its buffer alone would pass the budget: 10 trials
-    _assert_window_matches_draw(cache.window(8, "projection", 0, 4, 8), 8, "projection", 0, 4, 8)
-    assert cache._entries[(8, "projection", 0)].filled == 4
-    cache.window(8, "projection", 0, 4, 6)
-    assert cache._entries[(8, "projection", 0)].filled == 10
-    _assert_within_bounds(cache)
-    # the key just read stays: it alone fills the budget, the others go
-    cache.window(4, "projection", 5, 0, 40)
-    _assert_within_bounds(cache)
-    assert list(cache._entries) == [(4, "projection", 5)]
-    assert cache.nbytes == cache.max_bytes
-    # n so large that one trial passes the budget: nothing is kept
-    _assert_window_matches_draw(cache.window(26, "projection", 0, 0, 1), 26, "projection", 0, 0, 1)
-    assert list(cache._entries) == [(4, "projection", 5)]
 
 
 def test_trial_cache_serves_concurrent_windows():
-    # four threads on three keys of a two-key cache: hits, extensions,
-    # evictions and uncached windows interleave under a short switch interval
-    cache = _cache(max_keys=2, max_trials=64)
+    # four threads on three keys of a cold cache, windows within and across
+    # blocks, under a short switch interval
+    _trial_block.cache_clear()
     errors = []
 
     def worker(w):
         try:
             for i in range(40):
-                seed, t0 = (w + i) % 3, (7 * i) % 48
-                _assert_window_matches_draw(cache.window(4, "idempotent", seed, t0, 9),
-                                            4, "idempotent", seed, t0, 9)
-                assert len(cache._entries) <= 2
+                seed, t0 = (w + i) % 3, (37 * i) % 600
+                _assert_window_matches_draw(4, "idempotent", seed, t0, 9)
         except AssertionError as exc:
             errors.append(exc)
 
@@ -351,7 +299,6 @@ def test_trial_cache_serves_concurrent_windows():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
-    _assert_within_bounds(cache)
 
 
 def _fields(report):
@@ -360,9 +307,9 @@ def _fields(report):
             [(v.kind, v.index, v.witness.tobytes(), v.residual) for v in report.violations])
 
 
-def _evict_shared_cache():
-    for k in range(checker._TRIALS.max_keys):
-        checker._TRIALS.window(2, "projection", 10**6 + k, 0, 1)
+def _uncached_sample_batch(n, mode, seed, t0, bsz):
+    kinds = ["idempotent" if i else "projection" for i in checker._twisted(mode, t0, bsz)]
+    return _draw_trials(n, mode, seed, t0, bsz), kinds
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -371,27 +318,15 @@ def _evict_shared_cache():
 def test_reports_identical_cold_warm_evicted_and_uncached(monkeypatch, tag, use_catalog, stop):
     alg = random_instance(make_family(tag, 4), "similarity", seed=7)
     kw = dict(trials=300, seed=41, use_catalog=use_catalog, stop_on_violation=stop)
-    _evict_shared_cache()
+    _trial_block.cache_clear()
     cold = _fields(check_compressible(alg, **kw))
     assert bool(cold[6]) == (tag == "DIAGONAL")
     assert _fields(check_compressible(alg, **kw)) == cold
-    _evict_shared_cache()
-    check_compressible(alg, **dict(kw, trials=9))  # a short prefix, then the rest
+    _trial_block.cache_clear()
+    check_compressible(alg, **dict(kw, trials=9))  # a short check, then the full one
     assert _fields(check_compressible(alg, **kw)) == cold
-    monkeypatch.setattr(checker, "_TRIALS", _cache(max_trials=0))
+    monkeypatch.setattr(checker, "_sample_batch", _uncached_sample_batch)
     assert _fields(check_compressible(alg, **kw)) == cold
-
-
-def test_trials_past_the_cap_are_drawn_uncached(monkeypatch):
-    alg = make_family("DIAGONAL", 4)
-    kw = dict(trials=checker._TRIALS.max_trials + 37, seed=43, use_catalog=False,
-              stop_on_violation=False)
-    cached = _fields(check_compressible(alg, **kw))
-    assert cached[3] == kw["trials"] and cached[6][-1][1] >= checker._TRIALS.max_trials
-    assert checker._TRIALS._entries[(4, "idempotent", 43)].filled == checker._TRIALS.max_trials
-    assert _fields(check_compressible(alg, **kw)) == cached
-    monkeypatch.setattr(checker, "_TRIALS", _cache(max_trials=0))
-    assert _fields(check_compressible(alg, **kw)) == cached
 
 
 def test_editing_a_witness_leaves_later_checks_unchanged():

@@ -1,5 +1,5 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
-one place that turns rank_eps_factor into a rank cutoff, one span equality
+rank_eps_factor turned into a rank cutoff only in matcore, one span equality
 decision and one scalar-group scan in the classifier, and trials drawn only
 by the trial cache. Also: the package imports no scipy and no third-party
 module that pyproject does not declare, and a classify request that builds
@@ -21,12 +21,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "corneralg"
 MODULES = sorted(SRC.glob("*.py"))
 
 # (module, qualified function) allowed to read Tolerance.rank_eps_factor: the
-# scalar rank policy, its batched form in the corner kernel, and the
-# validation of the field itself
+# scalar rank policy, its row-wise form, and the validation of the field itself
 RANK_FACTOR_READERS = {
     ("matcore", "numerical_rank"),
+    ("matcore", "numerical_ranks"),
     ("matcore", "Tolerance.__post_init__"),
-    ("checker", "_corner_residual_batch"),
 }
 
 
@@ -110,7 +109,7 @@ def test_rank_cutoff_has_one_policy():
         stray += [f"{path.name}:{line} in {where or '<module>'}"
                   for where, line in _found(path, _reads_rank_factor)
                   if (path.stem, where) not in RANK_FACTOR_READERS]
-    assert not stray, f"rank cutoffs outside matcore.numerical_rank: {stray}"
+    assert not stray, f"rank cutoffs outside matcore: {stray}"
 
 
 def test_classifier_decides_span_equality_only_in_certify():
@@ -133,10 +132,10 @@ def test_classifier_scans_for_scalar_groups_only_in_scalar_run():
 
 
 def test_trials_are_drawn_only_through_the_trial_cache():
-    # every check reads its trials from the cache; no uncached path beside it
+    # every check reads its trials from the cached blocks; no uncached path
     calls = {(path.stem, where) for path in MODULES
              for where, _ in _found(path, _calls("_draw_trials"))}
-    assert calls == {("checker", "_TrialCache.window")}, calls
+    assert calls == {("checker", "_trial_block")}, calls
 
 
 def _imported_modules(tree):

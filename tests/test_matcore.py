@@ -13,6 +13,7 @@ from corneralg.matcore import (
     frob,
     haar_unitary,
     numerical_rank,
+    numerical_ranks,
     orthonormal_span,
     random_similarity,
     rank_tol,
@@ -83,6 +84,14 @@ def test_numerical_rank_policy():
     # commutative algebra, has rank 0 whatever the relative cutoff says
     assert numerical_rank(np.array([2e-14, 1.4e-14]), DEFAULT_TOL) == 0
     assert numerical_rank(np.array([1e-3, 2e-13, 5e-14]), Tolerance(rank_eps_factor=1e-12)) == 2
+
+
+def test_numerical_ranks_is_numerical_rank_row_by_row():
+    rows = np.array([[0.0, 0.0, 0.0], [1e6, 2e-3, 1e-4], [2e-14, 1.4e-14, 0.0],
+                     [1e-3, 2e-13, 5e-14], [1.0, 0.5, 0.5]])
+    for tol in (DEFAULT_TOL, Tolerance(rank_eps_factor=1e-12), Tolerance(rank_eps_factor=0.6)):
+        assert numerical_ranks(rows, tol).tolist() == [numerical_rank(s, tol) for s in rows]
+    assert numerical_ranks(np.zeros((2, 0)), DEFAULT_TOL).tolist() == [0, 0]
 
 
 def test_orthonormal_span_drops_dependent_directions():

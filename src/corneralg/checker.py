@@ -233,7 +233,7 @@ def _catalog_pass(alg: MatrixAlgebra, u, rng, violations: list, stop_on_violatio
             corners += len(frames)
             for k in np.nonzero(rel > VIOLATION_RESIDUAL)[0]:
                 violations.append(Violation(kind=f"catalog:{name}", index=int(k),
-                                            witness=es[k], residual=float(rel[k])))
+                                            witness=es[k].copy(), residual=float(rel[k])))
                 if stop_on_violation:
                     return corners
     return corners

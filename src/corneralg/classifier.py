@@ -12,7 +12,8 @@ from ranks and supports it names candidate certificates (canonical family,
 variant, parameters, frame) and the refutation path of its case. `certify`
 is the one span decision, at rel_eps in the input's own coordinates; the
 first candidate that replays is the verdict. When none replays, the verdict
-is a concrete violating idempotent under the case's `*-defect` path.
+is an orthogonal projection with an unclosed corner, found by the checker's
+projection search, under the case's `*-defect` path.
 
 Every verdict is cross-validated: certificates are replayed by span equality,
 refutations by the witness corner residual, and compressible verdicts are
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checker import VIOLATION_RESIDUAL, CheckReport, check_compressible, corner_residual
+from .checker import VIOLATION_RESIDUAL, CheckReport, Violation, check_compressible, corner_residual
 from .families import make_family
 from .matcore import NumericalFailureError, as_matrix, rank_tol
 from .structure import WedderburnData, _cluster_values, support_columns, wedderburn
@@ -60,6 +61,7 @@ class Verdict:
     witness: np.ndarray | None
     check: CheckReport | None
     seed: int
+    witness_source: str | None = None  # the Violation.kind that found the witness
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,53 +151,17 @@ class _Route:
 # ---------------------------------------------------------------- witnesses
 
 
-def _coupling_candidates(n: int, rng: np.random.Generator):
-    eye = np.eye(n, dtype=np.complex128)
-    weights = [(1.0, 1.0), (1.0, -1.0), (2.0, -1.0), (3.0, -1.0)]
-    for _ in range(2):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        weights.append((complex(z[0]), complex(z[1])))
-    for u in range(n):
-        for v in range(u + 1, n):
-            for w1, w2 in weights:
-                w = np.zeros(n, dtype=np.complex128)
-                w[u], w[v] = w1, w2
-                w = w / np.linalg.norm(w)
-                p = eye.copy()
-                p[u, u] = p[v, v] = 0.0
-                yield p + np.outer(w, w.conj())
-    for _ in range(8):
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = w / np.linalg.norm(w)
-        yield eye - np.outer(w, w.conj())
+def _find_witness(alg: MatrixAlgebra, wd: WedderburnData | None, seed: int) -> Violation | None:
+    """First violation of a projection search in the input's own coordinates, or None.
 
-
-def _find_witness(alg: MatrixAlgebra, wd: WedderburnData | None, seed: int):
-    """A replaying violating idempotent in the original coordinates, or None."""
-    n = alg.n
-    rng = np.random.default_rng([seed, 4242])
-    if wd is not None:
-        move = wd.block.u @ wd.s_unhinge
-        move_inv = np.linalg.inv(move)
-        inner = wd.unhinged
-    else:
-        move = move_inv = np.eye(n, dtype=np.complex128)
-        inner = alg
-
-    def replay(e_inner):
-        e = move @ e_inner @ move_inv
-        if corner_residual(alg, e) > VIOLATION_RESIDUAL:
-            return e
-        return None
-
-    for cand in _coupling_candidates(n, rng):
-        if corner_residual(inner, cand) > VIOLATION_RESIDUAL:
-            hit = replay(cand)
-            if hit is not None:
-                return hit
-    # random fallback, directly in the original coordinates
-    hit = check_compressible(alg, trials=1536, seed=seed, use_catalog=False).first_violation()
-    return None if hit is None else hit.witness
+    Projection and idempotent compressibility agree for unital algebras, so an
+    orthogonal projection P with an unclosed corner refutes both, and with
+    ||P||_2 = 1 its residual sits at the roundoff floor. The search is the
+    checker's: the witness catalog through coordinate, flag and Haar frames,
+    then 1536 range-projection trials, each stage in batched corner tests.
+    """
+    return check_compressible(alg, mode="projection", trials=1536, seed=seed,
+                              struct=None if wd is None else wd.block).first_violation()
 
 
 # ---------------------------------------------------------------- decision tree
@@ -455,8 +421,8 @@ def classify(
 
     Dimensions 1 and n^2 are settled directly for every n. Returns a Verdict
     carrying a certificate (family, variant, similarity, t) or a replaying
-    witness idempotent. Pass a precomputed reduction as wd to skip the
-    triangularization.
+    witness projection and its source. Pass a precomputed reduction as wd to
+    skip the triangularization.
     """
     if not alg.unital:
         raise ValueError("classification is defined for unital algebras")
@@ -478,14 +444,14 @@ def classify(
         if certify(alg, verdict):
             return _attach_check(alg, verdict, wd, trials, seed) if cross_validate else verdict
 
-    witness = _find_witness(alg, wd, seed)
-    if witness is None:
+    hit = _find_witness(alg, wd, seed)
+    if hit is None:
         raise ClassifierInconsistencyError(
             f"refutation path {refuted} produced no replaying witness"
         )
     return Verdict(compressible=False, n=n, dim=alg.dim, family=None, variant="id",
                    params={}, type_path=refuted, t=None, similarity=None,
-                   witness=witness, check=None, seed=seed)
+                   witness=hit.witness, check=None, seed=seed, witness_source=hit.kind)
 
 
 def classify_generated(

@@ -111,6 +111,7 @@ def _verdict_json(verdict: Verdict) -> dict:
         "t": _complex_pair(verdict.t),
         "similarity": None if verdict.similarity is None else matrix_to_pairs(verdict.similarity),
         "witness": None if verdict.witness is None else matrix_to_pairs(verdict.witness),
+        "witness_source": verdict.witness_source,
         "check": None if verdict.check is None else _check_json(verdict.check),
     }
 
@@ -132,7 +133,7 @@ def _verdict_text(verdict: Verdict) -> str:
         lines.append("similarity:")
         lines.append(_mat_text(verdict.similarity))
     else:
-        lines.append("witness idempotent:")
+        lines.append(f"witness idempotent: source {verdict.witness_source}")
         lines.append(_mat_text(verdict.witness))
     if verdict.check is not None:
         lines.append(

@@ -111,6 +111,17 @@ def test_two_jordan_cells_refuted_in_identity_frame():
     assert corner_residual(alg, v.witness) > 1e-6
 
 
+def test_catalog_witnesses_are_copies():
+    # a witness owns its memory: it keeps no frame batch alive and no report shares it
+    reports = [check_compressible(two_jordan_cells(), trials=0, seed=s, stop_on_violation=False)
+               for s in (0, 1)]
+    witnesses = [v.witness for r in reports for v in r.violations]
+    assert len(reports[0].violations) >= 2
+    assert all(w.base is None for w in witnesses)
+    for a, b in combinations(witnesses, 2):
+        assert not np.shares_memory(a, b)
+
+
 def test_three_dim_radical_refuted_by_inner_pair():
     alg = three_dim_radical()
     p = dict(witness_catalog(4))["rank3-inner-pair"]

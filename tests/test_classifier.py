@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from corneralg import classifier
+from corneralg import checker, classifier
 from corneralg.checker import corner_residual
 from corneralg.classifier import (
     certify,
@@ -27,6 +27,13 @@ def eij(n, i, j):
     m = np.zeros((n, n), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def assert_orthogonal_projection(w):
+    # W = W*, W^2 = W and ||W||_2 = 1: the witness refutes both notions at once
+    assert np.linalg.norm(w - w.conj().T, 2) <= 1e-12
+    assert np.linalg.norm(w @ w - w, 2) <= 1e-12
+    assert abs(np.linalg.norm(w, 2) - 1.0) <= 1e-12
 
 
 def linked_pair():
@@ -237,6 +244,8 @@ def test_refutations_carry_a_replaying_witness(builder, path):
     assert v.witness is not None
     assert corner_residual(alg, v.witness) > 1e-6
     assert certify(alg, v)
+    assert_orthogonal_projection(v.witness)
+    assert v.witness_source == "projection" or v.witness_source.startswith("catalog:")
 
 
 def test_refutation_witness_deterministic_for_fixed_seed():
@@ -246,15 +255,67 @@ def test_refutation_witness_deterministic_for_fixed_seed():
     assert np.allclose(v1.witness, v2.witness, atol=1e-12)
 
 
-def test_witness_fallback_samples_through_the_checker(monkeypatch):
-    # with no structured candidates the search falls back to random corners
-    monkeypatch.setattr(classifier, "_coupling_candidates", lambda n, rng: iter(()))
+def test_witness_fallback_samples_through_the_checker():
+    # the search is a projection-mode check in the input's own coordinates
     alg = random_instance(make_family("DIAGONAL", 4), "similarity", seed=5)
-    e = classifier._find_witness(alg, None, seed=0)
-    assert e is not None
-    assert np.linalg.norm(e @ e - e) < 1e-8
-    assert corner_residual(alg, e) > 1e-6
+    hit = classifier._find_witness(alg, None, seed=0)
+    assert hit is not None
+    assert_orthogonal_projection(hit.witness)
+    assert corner_residual(alg, hit.witness) > 1e-6
     assert classifier._find_witness(make_family("EX1", 4), None, seed=0) is None
+
+
+def make_generator(kind, n, rng):
+    """A generator whose unital algebra is not compressible: n eigenvalues at
+    least 0.3 apart (the benchmark's `perfbench.workloads.make_generator`)."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    while True:
+        if kind == "generic":
+            t = cplx(n, n)
+            vals = np.linalg.eigvals(t)
+        else:
+            vals = cplx(n)
+            t = np.diag(vals)
+            if kind == "triangular":
+                t = t + np.triu(cplx(n, n), 1)
+        gaps = np.abs(vals[:, None] - vals[None, :]) + 1e9 * np.eye(n)
+        if gaps.min() >= 0.3:
+            return t
+
+
+GENERATOR_KINDS = ("diagonal", "triangular", "generic")
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generated_algebras_are_refuted_by_orthogonal_projections(kind, n):
+    for k in range(4):
+        t = make_generator(kind, n, np.random.default_rng([777, n, k, GENERATOR_KINDS.index(kind)]))
+        s = random_similarity(n, np.random.default_rng([778, n, k, 2]), max_cond=1e2)
+        alg = generated_algebra([np.linalg.solve(s, t @ s)])
+        v = classify(alg, seed=k, cross_validate=False)
+        assert not v.compressible, (kind, n, k)
+        assert certify(alg, v), (kind, n, k)
+        assert_orthogonal_projection(v.witness)
+
+
+def test_witness_search_runs_in_batched_corner_tests(monkeypatch):
+    # the whole search is a few catalog batches, not one kernel call per candidate
+    t = make_generator("generic", 6, np.random.default_rng([779, 6]))
+    u = haar_unitary(6, np.random.default_rng([779, 7]))
+    alg = generated_algebra([u.conj().T @ t @ u])
+    kernel, calls = checker._corner_residual_batch, []
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(checker, "_corner_residual_batch", counted)
+    v = classify(alg, cross_validate=False)
+    assert not v.compressible
+    assert 1 <= len(calls) <= 2, calls
 
 
 @pytest.mark.parametrize(

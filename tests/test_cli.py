@@ -126,6 +126,19 @@ def test_classify_reports_witness_on_refutation(capsys, jordan_file):
     assert rc == 1 and "witness idempotent:" in out
 
 
+def test_classify_reports_the_witness_source(tmp_path, capsys, jordan_file):
+    rc, out = run(capsys, "classify", jordan_file, "--format", "json")
+    assert rc == 1
+    source = json.loads(out)["witness_source"]
+    assert source == "catalog:rank3-outer-pair"
+    rc, out = run(capsys, "classify", jordan_file)
+    assert rc == 1 and f"witness idempotent: source {source}" in out
+    path = str(tmp_path / "ex2.json")
+    run(capsys, "gen", "--family", "EX2", "--n", "4", "-o", path)
+    rc, out = run(capsys, "classify", path, "--trials", "30", "--format", "json")
+    assert rc == 0 and json.loads(out)["witness_source"] is None
+
+
 def test_structure_reports(tmp_path, capsys):
     t2 = tmp_path / "t2.json"
     write_algebra(t2, algebra_from_span([eij(2, 0, 0), eij(2, 0, 1), eij(2, 1, 1)]))

@@ -1,9 +1,9 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
 rank_eps_factor turned into a rank cutoff only in matcore, one span equality
-decision and one scalar-group scan in the classifier, and trials drawn only
-by the trial cache. Also: the package imports no scipy and no third-party
-module that pyproject does not declare, and a classify request that builds
-Riesz projections leaves scipy unloaded."""
+decision and one scalar-group scan in the classifier, single corners tested
+only by certify, and trials drawn only by the trial cache. Also: the package
+imports no scipy and no third-party module that pyproject does not declare,
+and a classify request that builds Riesz projections leaves scipy unloaded."""
 
 import ast
 import os
@@ -129,6 +129,13 @@ def test_classifier_scans_for_scalar_groups_only_in_scalar_run():
              for where, line in calls if where != "_scalar_run"]
     assert not stray, f"scalar tests outside _scalar_run: {stray}"
     assert any(where == "_scalar_run" for where, _ in calls)
+
+
+def test_only_certify_tests_single_corners():
+    # the witness search scores its candidates in the checker's batches
+    calls = {(path.stem, where) for path in MODULES
+             for where, _ in _found(path, _calls("corner_residual"))}
+    assert calls == {("classifier", "certify")}, calls
 
 
 def test_trials_are_drawn_only_through_the_trial_cache():

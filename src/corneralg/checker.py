@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
 # the band in between is counted as indeterminate and decides nothing
 PASS_RESIDUAL = 1e-8
 VIOLATION_RESIDUAL = 1e-6
+# Haar frames per catalog size, after the coordinate and flag frames
+_HAAR_FRAMES = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +81,9 @@ def _entry(num, den):
     return np.array(num, dtype=np.complex128) / den
 
 
-def witness_catalog(n: int):
-    """Fixed witness projections of size n, pairwise distinct, as (name, matrix) pairs."""
+@lru_cache(maxsize=8)
+def _witness_catalog(n: int) -> tuple:
+    """The catalog of size n, built and checked once; its matrices are read-only."""
     entries = []
     if n == 4:
         entries.append(
@@ -120,7 +124,16 @@ def witness_catalog(n: int):
     for name, p in entries:
         if np.linalg.norm(p @ p - p) > 1e-12:
             raise AssertionError(f"catalog entry {name} is not idempotent")
-    return entries
+        p.flags.writeable = False
+    return tuple(entries)
+
+
+def witness_catalog(n: int):
+    """Fixed witness projections of size n, pairwise distinct, as (name, matrix) pairs.
+
+    A new list each call; the matrices are shared and read-only.
+    """
+    return list(_witness_catalog(n))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -129,11 +142,12 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->bi", f, f))
 
 
-def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
+def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, svd=None):
     """Worst relative closure residual of each corner E_b A E_b.
 
-    basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents.
-    Returns (max relative residual, corner dimension) per idempotent.
+    basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents;
+    svd: their factors (u, s, vh) from np.linalg.svd(es), computed here when
+    not given. Returns (max relative residual, corner dimension) per idempotent.
 
     Each corner is tested in its own k x k frame, k = rank E. With the
     compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
@@ -149,7 +163,7 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance):
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
-    u, s, vh = np.linalg.svd(es)
+    u, s, vh = np.linalg.svd(es) if svd is None else svd
     ranks = numerical_ranks(s, tol)
     rel = np.zeros(bsz)
     dims = np.zeros(bsz, dtype=np.intp)
@@ -210,28 +224,63 @@ def corner_residual(alg: MatrixAlgebra, e) -> float:
     return float(rel[0])
 
 
-def _natural_frames(n: int, s: int, u: np.ndarray | None):
-    frames = [np.eye(n, dtype=np.complex128)[:, list(idx)] for idx in combinations(range(n), s)]
-    if u is not None and not np.allclose(np.abs(u), np.eye(n), atol=1e-9):
-        frames += [u[:, list(idx)] for idx in combinations(range(n), s)]
-    return frames
+def _frames(m: np.ndarray, size: int, lo: int = 0, hi: int | None = None) -> list:
+    """Frames lo..hi-1 of the size-column subsets of m's columns, in combinations order."""
+    return [m[:, list(idx)] for idx in islice(combinations(range(m.shape[0]), size), lo, hi)]
 
 
-def _catalog_pass(alg: MatrixAlgebra, u, rng, violations: list, stop_on_violation: bool):
+def _catalog_sizes(n: int) -> list:
+    return [m for m in (3, 4) if m <= n and _witness_catalog(m)]
+
+
+@lru_cache(maxsize=1)  # the blocks a catalog pass builds share one (n, seed)
+def _haar_frames(n: int, seed: int) -> dict:
+    """The Haar frames of each catalog size, drawn from default_rng([seed, 999]) in size order."""
+    rng = np.random.default_rng([seed, 999])
+    return {size: [haar_unitary(n, rng)[:, :size] for _ in range(_HAAR_FRAMES)]
+            for size in _catalog_sizes(n)}
+
+
+def _fixed_corners(n: int, seed: int, size: int, entry: int, lo: int, hi: int) -> np.ndarray:
+    """Corners lo..hi-1 of a catalog entry's algebra-independent frames: the
+    coordinate frames, then the Haar frames."""
+    p = _witness_catalog(size)[entry][1]
+    coords = comb(n, size)
+    frames = _frames(np.eye(n, dtype=np.complex128), size, lo, min(hi, coords))
+    if hi > coords:
+        frames += _haar_frames(n, seed)[size][max(lo - coords, 0) : hi - coords]
+    return np.array([f @ p @ f.conj().T for f in frames])
+
+
+def _catalog_pass(alg: MatrixAlgebra, u, seed: int, violations: list, stop_on_violation: bool):
+    """Test every catalog entry through coordinate, flag (u) and Haar frames,
+    one kernel batch per entry in that order; returns the corners tested.
+
+    The coordinate and Haar corners do not depend on the algebra: they and
+    their factors come from the block cache, one entry at a time. The flag
+    corners are built and factored here.
+    """
     basis = _basis_stack(alg)
     n = alg.n
+    bs = _block_trials(n)
+    if u is not None and np.allclose(np.abs(u), np.eye(n), atol=1e-9):
+        u = None
     corners = 0
-    for size in sorted({m for m in (3, 4) if m <= n}):
-        cat = witness_catalog(size)
-        if not cat:
-            continue
-        frames = _natural_frames(n, size, u)
-        frames += [haar_unitary(n, rng)[:, :size] for _ in range(6)]
-        for name, p in cat:
-            es = np.array([f @ p @ f.conj().T for f in frames])
-            rel, _ = _corner_residual_batch(basis, es, alg.tol)
-            corners += len(frames)
+    for size in _catalog_sizes(n):
+        coords = comb(n, size)
+        nblocks = -(-(coords + _HAAR_FRAMES) // bs)
+        flag_frames = [] if u is None else _frames(u, size)
+        for entry, (name, p) in enumerate(_witness_catalog(size)):
+            fixed = _join([_block(n, ("catalog", seed, size, entry), j) for j in range(nblocks)])
+            if flag_frames:
+                fes = np.array([f @ p @ f.conj().T for f in flag_frames])
+                fixed = [np.concatenate([x[:coords], y, x[coords:]])
+                         for x, y in zip(fixed, (fes, *np.linalg.svd(fes)))]
+            es, *svd = fixed
+            rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
+            corners += len(es)
             for k in np.nonzero(rel > VIOLATION_RESIDUAL)[0]:
+                # a copy: es may be a view of a cached block
                 violations.append(Violation(kind=f"catalog:{name}", index=int(k),
                                             witness=es[k].copy(), residual=float(rel[k])))
                 if stop_on_violation:
@@ -278,31 +327,55 @@ def _draw_trials(n: int, mode: str, seed: int, t0: int, bsz: int) -> np.ndarray:
 
 
 def _block_trials(n: int) -> int:
-    """Trials in one 64 KB block of an n x n stream; one trial above n = 64."""
+    """Corners in one block of an n x n stream: 64 KB of idempotents, one above n = 64."""
     return max(1, 65536 // (16 * n * n))
 
 
-@lru_cache(maxsize=1024)
-def _trial_block(n: int, mode: str, seed: int, j: int) -> np.ndarray:
-    """Block j of the (n, mode, seed) trial stream, drawn once and read-only."""
-    size = _block_trials(n)
-    es = _draw_trials(n, mode, seed, j * size, size)
-    es.flags.writeable = False
-    return es
+def _factored(es: np.ndarray) -> tuple:
+    """A stack of corners and its SVD factors (es, u, s, vh), all read-only."""
+    out = (es, *np.linalg.svd(es))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def _block(n: int, stream: tuple, j: int) -> tuple:
+    """Block j of an algebra-independent corner stream, with its factors,
+    built once: (es, u, s, vh) of corners j * _block_trials(n) onward.
+
+    stream is ("trials", mode, seed), the trial idempotents, or
+    ("catalog", seed, size, entry), a catalog entry's fixed corners.
+    """
+    bs = _block_trials(n)
+    if stream[0] == "trials":
+        _, mode, seed = stream
+        es = _draw_trials(n, mode, seed, j * bs, bs)
+    else:
+        _, seed, size, entry = stream
+        es = _fixed_corners(n, seed, size, entry, j * bs, (j + 1) * bs)
+    return _factored(es)
+
+
+def _join(blocks: list) -> tuple:
+    """Consecutive blocks as one (es, u, s, vh); a single block is returned as is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(x) for x in zip(*blocks))
 
 
 def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
-    """Idempotents and kinds for trials t0..t0+bsz-1, read from the cached blocks.
+    """Idempotents, their factors (u, s, vh) and kinds for trials t0..t0+bsz-1,
+    read from the cached blocks.
 
     A window inside one block is a read-only view shared with every later check.
     """
-    size = _block_trials(n)
-    first, lo = divmod(t0, size)
-    blocks = [_trial_block(n, mode, seed, j)
-              for j in range(first, (t0 + bsz - 1) // size + 1)]
-    es = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    bs = _block_trials(n)
+    first, lo = divmod(t0, bs)
+    blocks = [_block(n, ("trials", mode, seed), j) for j in range(first, (t0 + bsz - 1) // bs + 1)]
+    es, *svd = (x[lo : lo + bsz] for x in _join(blocks))
     kinds = ["idempotent" if i else "projection" for i in _twisted(mode, t0, bsz).tolist()]
-    return es[lo : lo + bsz], kinds
+    return es, tuple(svd), kinds
 
 
 def check_compressible(
@@ -321,12 +394,17 @@ def check_compressible(
     condition number. Ranks sweep 1..n-1 round robin. Every trial draws from
     its own substream, so reports are reproducible given the seed.
 
-    The trials do not depend on the algebra, so each (n, mode, seed) stream
-    is cut into read-only 64 KB blocks of max(1, 65536 // (16 n^2)) trials,
-    each drawn once: 256 trials at n = 4, 113 at n = 6. The 1024 most
-    recently used blocks are kept, at most 64 MB for n <= 64; above n = 64 a
-    block holds one trial. A report's witnesses are copies, never views of
-    these blocks.
+    The trials do not depend on the algebra, and neither do the catalog's
+    coordinate and Haar corners. Each (n, mode, seed) trial stream, and each
+    catalog entry's fixed corners for (n, seed), is cut into blocks of
+    max(1, 65536 // (16 n^2)) corners (256 at n = 4, 113 at n = 6), built
+    and factored by np.linalg.svd once: 64 KB of idempotents plus their
+    factors, at most 208 KB a block. The 256 most recently used blocks are
+    kept, read-only, at most 54.5 MB for n <= 64; above n = 64 a block holds
+    one corner. A catalog entry is fetched when the pass reaches it, so a
+    refuting check stops at its first violating entry. The flag-frame
+    corners, which depend on the algebra, are factored on each check. A
+    report's witnesses are copies, never views of these blocks.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -350,9 +428,7 @@ def check_compressible(
                 u = triangularize(alg, seed=seed).u
             except NumericalFailureError:
                 u = None
-        catalog_corners = _catalog_pass(
-            alg, u, np.random.default_rng([seed, 999]), violations, stop_on_violation
-        )
+        catalog_corners = _catalog_pass(alg, u, seed, violations, stop_on_violation)
         if violations and stop_on_violation:
             return CheckReport(mode=mode, seed=seed, requested_trials=trials,
                                trials_run=0, catalog_corners=catalog_corners,
@@ -365,8 +441,8 @@ def check_compressible(
     trial = 0
     while trial < trials:
         bsz = min(chunk, trials - trial)
-        es, kinds = _sample_batch(n, mode, seed, trial, bsz)
-        rel, _ = _corner_residual_batch(basis, es, alg.tol)
+        es, svd, kinds = _sample_batch(n, mode, seed, trial, bsz)
+        rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
         trials_run += bsz
         indeterminate += int(np.count_nonzero((rel > PASS_RESIDUAL) & (rel <= VIOLATION_RESIDUAL)))
         bad = np.nonzero(rel > VIOLATION_RESIDUAL)[0]

@@ -13,6 +13,7 @@ only after the retry budget is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ class BlockStructure:
     def num_blocks(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple:
         out = [0]
         for s in self.sizes:
@@ -81,12 +82,18 @@ class BlockStructure:
                 return k
         raise ValueError(f"block index {i} out of range")
 
-    def bd_mask(self) -> np.ndarray:
+    @cached_property
+    def _bd_mask(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=bool)
         for i in range(self.num_blocks):
             s = self.block_slice(i)
             m[s, s] = True
+        m.flags.writeable = False
         return m
+
+    def bd_mask(self) -> np.ndarray:
+        """Boolean mask of the diagonal blocks; shared and read-only."""
+        return self._bd_mask
 
     def strict_lower_norm(self, x: np.ndarray) -> float:
         keep = np.triu(np.ones((self.n, self.n), dtype=bool))
@@ -364,11 +371,7 @@ def reduced_algebra(alg: MatrixAlgebra, struct: BlockStructure) -> MatrixAlgebra
 
 
 def bd_part(x: np.ndarray, struct: BlockStructure) -> np.ndarray:
-    out = np.zeros_like(np.asarray(x, dtype=np.complex128))
-    for i in range(struct.num_blocks):
-        s = struct.block_slice(i)
-        out[s, s] = x[s, s]
-    return out
+    return np.where(struct.bd_mask(), np.asarray(x, dtype=np.complex128), 0)
 
 
 def bd_algebra(reduced: MatrixAlgebra, struct: BlockStructure) -> MatrixAlgebra:
@@ -493,7 +496,7 @@ def unhinge(
                 supp = frozenset(
                     i
                     for i in range(struct.num_blocks)
-                    if np.linalg.norm(struct.block(bd_part(f, struct), i, i)) > 1e-6
+                    if np.linalg.norm(struct.block(f, i, i)) > 1e-6
                 )
                 cluster_data.append((labels[0], f, supp, len(g)))
             total = sum(f for _, f, _, _ in cluster_data)

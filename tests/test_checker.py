@@ -3,6 +3,7 @@
 import sys
 import threading
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from corneralg.checker import (
     VIOLATION_RESIDUAL,
     _block_trials,
     _corner_residual_batch,
+    _block,
     _draw_trials,
-    _natural_frames,
+    _frames,
     _sample_batch,
-    _trial_block,
     check_compressible,
     corner_residual,
     fold_corner,
@@ -24,6 +25,7 @@ from corneralg.checker import (
 )
 from corneralg.families import make_family, random_instance
 from corneralg.matcore import _RANK_FLOOR, ShapeMismatchError, haar_unitary
+from corneralg.structure import triangularize
 from corneralg.subalgebra import algebra_from_span, generated_algebra
 
 
@@ -183,7 +185,7 @@ def test_projection_mode_only_samples_projections():
 
 
 def test_samplers_produce_idempotents():
-    es, kinds = _sample_batch(4, "idempotent", seed=6, t0=0, bsz=12)
+    es, _, kinds = _sample_batch(4, "idempotent", seed=6, t0=0, bsz=12)
     for t, (e, kind) in enumerate(zip(es, kinds)):
         assert kind == ("idempotent" if t % 2 else "projection")
         assert np.linalg.norm(e @ e - e) < 1e-10
@@ -191,7 +193,7 @@ def test_samplers_produce_idempotents():
         if kind == "projection":
             assert np.linalg.norm(e - e.conj().T) < 1e-12
     # one substream per trial: a later window redraws the same idempotents
-    later, _ = _sample_batch(4, "idempotent", seed=6, t0=5, bsz=4)
+    later, _, _ = _sample_batch(4, "idempotent", seed=6, t0=5, bsz=4)
     assert np.allclose(later, es[5:9], rtol=0, atol=1e-14)
 
 
@@ -235,7 +237,7 @@ def _reference_sample_batch(n, mode, seed, t0, bsz):
 def test_sampler_matches_reference_bitwise(n, mode):
     for t0 in (0, 177, 256):
         for bsz in (1, 4, 200):
-            es, kinds = _sample_batch(n, mode, seed=9, t0=t0, bsz=bsz)
+            es, _, kinds = _sample_batch(n, mode, seed=9, t0=t0, bsz=bsz)
             ref_es, ref_kinds = _reference_sample_batch(n, mode, 9, t0, bsz)
             assert np.array_equal(es, ref_es), (t0, bsz)
             assert kinds == ref_kinds
@@ -245,15 +247,19 @@ def test_sampler_matches_reference_bitwise(n, mode):
 
 
 def _assert_window_matches_draw(n, mode, seed, t0, bsz):
-    es, _ = _sample_batch(n, mode, seed, t0, bsz)
-    assert np.array_equal(es, _draw_trials(n, mode, seed, t0, bsz)), (n, t0, bsz)
+    es, svd, _ = _sample_batch(n, mode, seed, t0, bsz)
+    drawn = _draw_trials(n, mode, seed, t0, bsz)
+    assert np.array_equal(es, drawn), (n, t0, bsz)
+    # the cached factors are those of the window, bit for bit
+    for cached, fresh in zip(svd, np.linalg.svd(drawn), strict=True):
+        assert np.array_equal(cached, fresh), (n, t0, bsz)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 26])
 @pytest.mark.parametrize("mode", ["idempotent", "projection"])
 def test_cached_trials_match_the_draw_bitwise(n, mode):
     size = _block_trials(n)
-    _trial_block.cache_clear()
+    _block.cache_clear()
     # inside a block, across one edge, across several, and past trial 2048;
     # cold, then warm
     windows = [(0, 1), (3, size - 3), (size - 2, 4), (size - 1, 2 * size + 2), (2045, 9)]
@@ -265,29 +271,45 @@ def test_cached_trials_match_the_draw_bitwise(n, mode):
             _assert_window_matches_draw(n, mode, chunk, t0, chunk)
 
 
+def _block_bytes(n):
+    """es, u and vh of 16 n^2 bytes a corner, and s of 8 n."""
+    return _block_trials(n) * (3 * 16 * n * n + 8 * n)
+
+
 def test_trial_cache_bounds():
-    # 1024 blocks of at most 64 KB each: 64 MB for n <= 64
-    assert _trial_block.cache_info().maxsize == 1024
+    # 256 blocks of 64 KB of idempotents and their factors, trial and catalog
+    # blocks alike: at most 54.5 MB for n <= 64
+    assert _block.cache_info().maxsize == 256
     assert [_block_trials(n) for n in (4, 6, 26, 64, 65)] == [256, 113, 6, 1, 1]
     assert all(16 * n * n * _block_trials(n) <= 65536 for n in range(2, 65))
-    assert _trial_block(6, "idempotent", 3, 0).nbytes == 16 * 6 * 6 * 113
+    assert max(_block_bytes(n) for n in range(2, 65)) == _block_bytes(2) == 212992
+    assert 256 * _block_bytes(2) <= 64e6
+    # beside them, the Haar frames of one (n, seed): twelve n x n unitaries
+    assert checker._haar_frames.cache_info().maxsize == 1
+    assert 256 * _block_bytes(2) + 12 * 16 * 64 * 64 <= 64e6
+    block = _block(6, ("trials", "idempotent", 3), 0)
+    assert block[0].nbytes == 16 * 6 * 6 * 113
+    assert sum(x.nbytes for x in block) == _block_bytes(6)
+    # a catalog block at n = 26 holds 6 of an entry's C(26, 4) + 6 fixed corners
+    assert sum(x.nbytes for x in _block(26, ("catalog", 0, 4, 0), 7)) == _block_bytes(26)
 
 
 def test_shared_blocks_are_read_only():
-    block = _trial_block(4, "idempotent", 3, 0)
-    es, _ = _sample_batch(4, "idempotent", 3, 5, 9)
-    assert np.shares_memory(es, block)
-    for arr in (block, es):
+    block = _block(4, ("trials", "idempotent", 3), 0)
+    es, svd, _ = _sample_batch(4, "idempotent", 3, 5, 9)
+    for window, whole in zip((es, *svd), block, strict=True):
+        assert np.shares_memory(window, whole)
+        for arr in (whole, window):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
         with pytest.raises(ValueError):
-            arr[0, 0, 0] = 0.0
-    with pytest.raises(ValueError):
-        es.flags.writeable = True
+            window.flags.writeable = True
 
 
 def test_trial_cache_serves_concurrent_windows():
     # four threads on three keys of a cold cache, windows within and across
     # blocks, under a short switch interval
-    _trial_block.cache_clear()
+    _block.cache_clear()
     errors = []
 
     def worker(w):
@@ -319,8 +341,9 @@ def _fields(report):
 
 
 def _uncached_sample_batch(n, mode, seed, t0, bsz):
+    # no factors: the kernel computes its own SVD
     kinds = ["idempotent" if i else "projection" for i in checker._twisted(mode, t0, bsz)]
-    return _draw_trials(n, mode, seed, t0, bsz), kinds
+    return _draw_trials(n, mode, seed, t0, bsz), None, kinds
 
 
 @pytest.mark.parametrize("stop", [True, False])
@@ -329,15 +352,128 @@ def _uncached_sample_batch(n, mode, seed, t0, bsz):
 def test_reports_identical_cold_warm_evicted_and_uncached(monkeypatch, tag, use_catalog, stop):
     alg = random_instance(make_family(tag, 4), "similarity", seed=7)
     kw = dict(trials=300, seed=41, use_catalog=use_catalog, stop_on_violation=stop)
-    _trial_block.cache_clear()
+    _block.cache_clear()
     cold = _fields(check_compressible(alg, **kw))
     assert bool(cold[6]) == (tag == "DIAGONAL")
     assert _fields(check_compressible(alg, **kw)) == cold
-    _trial_block.cache_clear()
+    _block.cache_clear()
     check_compressible(alg, **dict(kw, trials=9))  # a short check, then the full one
     assert _fields(check_compressible(alg, **kw)) == cold
     monkeypatch.setattr(checker, "_sample_batch", _uncached_sample_batch)
     assert _fields(check_compressible(alg, **kw)) == cold
+
+
+def _assert_kernel_factors_match_fresh(basis, es, tol, svd):
+    """The kernel on cached factors against the kernel factoring es itself, bitwise."""
+    got = _corner_residual_batch(basis, es, tol, svd)
+    fresh = _corner_residual_batch(basis, np.array(es), tol)
+    for a, b in zip(got, fresh, strict=True):
+        assert np.array_equal(a, b)
+    return got
+
+
+@pytest.mark.parametrize("mode", ["idempotent", "projection"])
+def test_trial_factors_match_the_kernel_run_without_them(mode):
+    n = 5
+    size = _block_trials(n)
+    algs = [random_instance(make_family(tag, n), "similarity", seed=8)
+            for tag in ("DIAGONAL", "EX2")]
+    windows = [(0, 1), (3, size - 3), (size - 2, 4), (size - 1, 2 * size + 2)]
+    _block.cache_clear()
+    for t0, bsz in windows + windows:  # cold, then warm
+        es, svd, _ = _sample_batch(n, mode, 7, t0, bsz)
+        for alg in algs:
+            _assert_kernel_factors_match_fresh(checker._basis_stack(alg), es, alg.tol, svd)
+
+
+def _reference_catalog_batches(n, u, seed):
+    """The catalog's batches from one frame list per size: coordinate frames,
+    flag frames, then six Haar frames, all sizes drawing from one generator.
+    Kept as the reference for the cached blocks of fixed corners."""
+    rng = np.random.default_rng([seed, 999])
+    eye = np.eye(n, dtype=np.complex128)
+    batches = []
+    for size in (3, 4):
+        cat = witness_catalog(size)
+        if size > n or not cat:
+            continue
+        frames = [eye[:, list(idx)] for idx in combinations(range(n), size)]
+        if u is not None:
+            frames += [u[:, list(idx)] for idx in combinations(range(n), size)]
+        frames += [haar_unitary(n, rng)[:, :size] for _ in range(6)]
+        batches += [np.array([f @ p @ f.conj().T for f in frames]) for _, p in cat]
+    return batches
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
+    # at n = 9 an entry's fixed corners fill several blocks, and one block
+    # holds both coordinate and Haar corners
+    n, seed = 9, 5
+    bs = _block_trials(n)
+    assert comb(n, 4) > 2 * bs and 0 < comb(n, 4) % bs < bs - 6
+    # three orthogonal projections of rank 3 span an algebra of dimension 3, so
+    # no corner of rank 2 or 3 spans all of M_k and every batch forms products
+    w = haar_unitary(n, np.random.default_rng(3))
+    alg = generated_algebra([w.conj().T @ np.diag(np.repeat([0.0, 1.0, 2.0], 3)) @ w])
+    assert alg.dim == 3
+    u = haar_unitary(n, np.random.default_rng(4)) if flag else None
+    batches = []
+
+    def compare(basis, es, tol, svd=None):
+        assert svd is not None
+        out = _assert_kernel_factors_match_fresh(basis, es, tol, svd)
+        batches.append((np.array(es), out[0]))
+        return out
+
+    monkeypatch.setattr(checker, "_corner_residual_batch", compare)
+    reference = _reference_catalog_batches(n, u, seed)
+    _block.cache_clear()
+    for _ in range(2):  # cold, then warm
+        batches.clear()
+        corners = checker._catalog_pass(alg, u, seed, [], False)
+        assert corners == sum(map(len, reference))
+        assert len(batches) == len(reference)
+        for (es, _), want in zip(batches, reference):
+            assert np.array_equal(es, want)
+        assert all(np.all(rel > VIOLATION_RESIDUAL) for _, rel in batches)
+
+
+def test_a_warm_repeat_check_factors_no_algebra_independent_corner(monkeypatch):
+    factored, given = [], []
+    factor, kernel = checker._factored, checker._corner_residual_batch
+
+    def counted(es):
+        factored.append(len(es))
+        return factor(es)
+
+    def spy(basis, es, tol, svd=None):
+        given.append(svd is not None)
+        return kernel(basis, es, tol, svd)
+
+    draws = []
+    haar = checker.haar_unitary
+    monkeypatch.setattr(checker, "haar_unitary", lambda *a: draws.append(a[0]) or haar(*a))
+    monkeypatch.setattr(checker, "_factored", counted)
+    monkeypatch.setattr(checker, "_corner_residual_batch", spy)
+    n = 5
+    _block.cache_clear()
+    checker._haar_frames.cache_clear()
+    for seed in (7, 8):  # two disguises of one algebra, each with its own flag frame
+        alg = random_instance(make_family("EX2", n), "similarity", seed=seed)
+        report = check_compressible(alg, trials=500, seed=43, struct=triangularize(alg))
+        assert report.consistent and report.trials_run == 500
+        # 5 + 5 flag corners per size-4 entry, 10 + 10 for size 3, each with 6 Haar frames
+        assert report.catalog_corners == 9 * 16 + 26
+        if seed == 7:
+            # four trial blocks, one block for each of the ten catalog entries
+            assert sorted(factored) == [11] * 9 + [16] + [_block_trials(n)] * 4
+            # six Haar frames for each of the two sizes, drawn once for all entries
+            assert draws == [n] * 12
+            factored.clear()
+    assert factored == []
+    assert draws == [n] * 12
+    assert given and all(given)
 
 
 def test_editing_a_witness_leaves_later_checks_unchanged():
@@ -407,7 +543,7 @@ def _assert_kernel_matches_reference(alg, es):
 def test_corner_kernel_matches_reference_formula(tag, kw):
     alg = random_instance(make_family(tag, 5, **kw), "similarity", seed=8)
     for mode in ("idempotent", "projection"):
-        es, _ = _sample_batch(5, mode, seed=1, t0=0, bsz=64)
+        es, _, _ = _sample_batch(5, mode, seed=1, t0=0, bsz=64)
         _assert_kernel_matches_reference(alg, es)
 
 
@@ -417,7 +553,7 @@ def test_corner_kernel_matches_reference_on_a_full_chunk():
     alg = random_instance(make_family("LR_UNITAL", 6, ranks=(4, 6), overlap=4), "similarity",
                           seed=3)
     assert alg.dim == 25
-    es, _ = _sample_batch(6, "idempotent", seed=5, t0=0, bsz=177)
+    es, _, _ = _sample_batch(6, "idempotent", seed=5, t0=0, bsz=177)
     _assert_kernel_matches_reference(alg, es)
 
 
@@ -427,7 +563,7 @@ def test_corner_kernel_matches_reference_on_catalog_frames():
     compressible = random_instance(make_family("EX1", 6, ranks=(2, 2, 2)), "similarity", seed=2)
     for alg, expected_bands in ((compressible, {0}), (two_jordan_cells(), {0, 2})):
         n = alg.n
-        frames = _natural_frames(n, 4, haar_unitary(n, rng))
+        frames = _frames(np.eye(n, dtype=np.complex128), 4) + _frames(haar_unitary(n, rng), 4)
         frames += [haar_unitary(n, rng)[:, :4] for _ in range(6)]
         bands = set()
         for _, p in witness_catalog(4):
@@ -441,7 +577,7 @@ def test_corner_kernel_zero_and_identity_corners():
     # one batch mixing E = 0, ranks 1..n-1 and E = I: several rank groups
     n = 5
     alg = random_instance(make_family("EX1", n, ranks=(1, 2, 2)), "similarity", seed=8)
-    es, _ = _sample_batch(n, "idempotent", seed=4, t0=0, bsz=n - 1)
+    es, _, _ = _sample_batch(n, "idempotent", seed=4, t0=0, bsz=n - 1)
     es = np.concatenate([np.zeros((1, n, n), dtype=np.complex128), es,
                          np.eye(n, dtype=np.complex128)[None]])
     rel, rank = _assert_kernel_matches_reference(alg, es)
@@ -455,7 +591,7 @@ def test_corner_kernel_full_corners_are_closed_without_products():
     # dimension k^2: every rank-1 corner of a unital algebra, every corner of FULL
     n = 5
     full = random_instance(make_family("FULL", n), "similarity", seed=8)
-    es, _ = _sample_batch(n, "idempotent", seed=2, t0=0, bsz=16)
+    es, _, _ = _sample_batch(n, "idempotent", seed=2, t0=0, bsz=16)
     k = np.linalg.matrix_rank(es)
     rel, rank = _assert_kernel_matches_reference(full, es)
     assert np.array_equal(rank, k * k) and np.all(rel == 0.0)
@@ -467,7 +603,7 @@ def test_corner_kernel_full_corners_are_closed_without_products():
     alg = make_family("EX1", n, ranks=(1, 2, 2))
     es = np.array([np.diag(np.isin(np.arange(n), c)).astype(np.complex128)
                    for c in combinations(range(n), 2)])
-    sampled, _ = _sample_batch(n, "projection", seed=2, t0=1, bsz=1)
+    sampled, _, _ = _sample_batch(n, "projection", seed=2, t0=1, bsz=1)
     es = np.concatenate([es, sampled])
     rel, rank = _assert_kernel_matches_reference(alg, es)
     assert set(rank.tolist()) == {1, 3, 4}
@@ -480,7 +616,7 @@ def test_corner_kernel_open_corner_with_fewer_generators_than_k_squared():
     g = np.random.default_rng(0).standard_normal((6, 6))
     alg = generated_algebra([g])
     assert alg.dim == 6
-    es, _ = _sample_batch(6, "idempotent", seed=0, t0=4, bsz=1)
+    es, _, _ = _sample_batch(6, "idempotent", seed=0, t0=4, bsz=1)
     assert np.linalg.matrix_rank(es[0]) == 5
     rel, rank = _assert_kernel_matches_reference(alg, es)
     assert rank[0] == 6 and rel[0] > VIOLATION_RESIDUAL

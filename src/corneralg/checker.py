@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
-from math import comb
+from itertools import combinations
 
 import numpy as np
 
@@ -83,7 +82,9 @@ def _entry(num, den):
 
 @lru_cache(maxsize=8)
 def _witness_catalog(n: int) -> tuple:
-    """The catalog of size n, built and checked once; its matrices are read-only."""
+    """The catalog of size n as (name, p, q), built and checked once: every p is
+    an orthogonal projection, q an orthonormal basis of its range, so p = q q*.
+    The matrices are read-only."""
     entries = []
     if n == 4:
         entries.append(
@@ -121,11 +122,15 @@ def _witness_catalog(n: int) -> tuple:
         entries.append(
             ("rank2-pair-13", _entry([[1, 0, 1], [0, 2, 0], [1, 0, 1]], 2))
         )
+    out = []
     for name, p in entries:
-        if np.linalg.norm(p @ p - p) > 1e-12:
-            raise AssertionError(f"catalog entry {name} is not idempotent")
-        p.flags.writeable = False
-    return tuple(entries)
+        if np.linalg.norm(p @ p - p) > 1e-12 or np.linalg.norm(p - p.conj().T) > 1e-12:
+            raise AssertionError(f"catalog entry {name} is not an orthogonal projection")
+        w, v = np.linalg.eigh(p)
+        q = v[:, w > 0.5]
+        p.flags.writeable = q.flags.writeable = False
+        out.append((name, p, q))
+    return tuple(out)
 
 
 def witness_catalog(n: int):
@@ -133,7 +138,7 @@ def witness_catalog(n: int):
 
     A new list each call; the matrices are shared and read-only.
     """
-    return list(_witness_catalog(n))
+    return [(name, p) for name, p, _ in _witness_catalog(n)]
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -146,8 +151,11 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, sv
     """Worst relative closure residual of each corner E_b A E_b.
 
     basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents;
-    svd: their factors (u, s, vh) from np.linalg.svd(es), computed here when
-    not given. Returns (max relative residual, corner dimension) per idempotent.
+    svd: their factors (u, s, vh), E = U S V* with orthonormal columns in U
+    and V and s descending, of which the first rank E are read: the trial
+    blocks' np.linalg.svd(es), or a catalog corner's closed form (x, 1, x*).
+    Computed here when not given, as for single corners. Returns (max
+    relative residual, corner dimension) per idempotent.
 
     Each corner is tested in its own k x k frame, k = rank E. With the
     compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
@@ -224,63 +232,42 @@ def corner_residual(alg: MatrixAlgebra, e) -> float:
     return float(rel[0])
 
 
-def _frames(m: np.ndarray, size: int, lo: int = 0, hi: int | None = None) -> list:
-    """Frames lo..hi-1 of the size-column subsets of m's columns, in combinations order."""
-    return [m[:, list(idx)] for idx in islice(combinations(range(m.shape[0]), size), lo, hi)]
-
-
-def _catalog_sizes(n: int) -> list:
-    return [m for m in (3, 4) if m <= n and _witness_catalog(m)]
-
-
-@lru_cache(maxsize=1)  # the blocks a catalog pass builds share one (n, seed)
-def _haar_frames(n: int, seed: int) -> dict:
-    """The Haar frames of each catalog size, drawn from default_rng([seed, 999]) in size order."""
-    rng = np.random.default_rng([seed, 999])
-    return {size: [haar_unitary(n, rng)[:, :size] for _ in range(_HAAR_FRAMES)]
-            for size in _catalog_sizes(n)}
-
-
-def _fixed_corners(n: int, seed: int, size: int, entry: int, lo: int, hi: int) -> np.ndarray:
-    """Corners lo..hi-1 of a catalog entry's algebra-independent frames: the
-    coordinate frames, then the Haar frames."""
-    p = _witness_catalog(size)[entry][1]
-    coords = comb(n, size)
-    frames = _frames(np.eye(n, dtype=np.complex128), size, lo, min(hi, coords))
-    if hi > coords:
-        frames += _haar_frames(n, seed)[size][max(lo - coords, 0) : hi - coords]
-    return np.array([f @ p @ f.conj().T for f in frames])
+def _frames(m: np.ndarray, size: int) -> list:
+    """The size-column subsets of m's columns, in combinations order."""
+    return [m[:, list(idx)] for idx in combinations(range(m.shape[0]), size)]
 
 
 def _catalog_pass(alg: MatrixAlgebra, u, seed: int, violations: list, stop_on_violation: bool):
     """Test every catalog entry through coordinate, flag (u) and Haar frames,
     one kernel batch per entry in that order; returns the corners tested.
 
-    The coordinate and Haar corners do not depend on the algebra: they and
-    their factors come from the block cache, one entry at a time. The flag
-    corners are built and factored here.
+    The corner F p F* of an entry p = q q* through a frame F has the compact
+    SVD (F q)(F q)*, so the kernel gets its factors without factoring.
     """
     basis = _basis_stack(alg)
     n = alg.n
-    bs = _block_trials(n)
     if u is not None and np.allclose(np.abs(u), np.eye(n), atol=1e-9):
         u = None
+    rng = np.random.default_rng([seed, 999])
     corners = 0
-    for size in _catalog_sizes(n):
-        coords = comb(n, size)
-        nblocks = -(-(coords + _HAAR_FRAMES) // bs)
-        flag_frames = [] if u is None else _frames(u, size)
-        for entry, (name, p) in enumerate(_witness_catalog(size)):
-            fixed = _join([_block(n, ("catalog", seed, size, entry), j) for j in range(nblocks)])
-            if flag_frames:
-                fes = np.array([f @ p @ f.conj().T for f in flag_frames])
-                fixed = [np.concatenate([x[:coords], y, x[coords:]])
-                         for x, y in zip(fixed, (fes, *np.linalg.svd(fes)))]
-            es, *svd = fixed
+    for size in (3, 4):
+        catalog = _witness_catalog(size)
+        if size > n or not catalog:
+            continue
+        frames = _frames(np.eye(n, dtype=np.complex128), size)
+        if u is not None:
+            frames += _frames(u, size)
+        frames += [haar_unitary(n, rng)[:, :size] for _ in range(_HAAR_FRAMES)]
+        f = np.array(frames)
+        fh = f.conj().transpose(0, 2, 1)
+        for name, p, q in catalog:
+            es = f @ p @ fh
+            x = f @ q
+            svd = (x, np.ones((len(x), q.shape[1])), x.conj().transpose(0, 2, 1))
             rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
             corners += len(es)
             for k in np.nonzero(rel > VIOLATION_RESIDUAL)[0]:
-                # a copy: es may be a view of a cached block
+                # a copy: the witness keeps no batch alive
                 violations.append(Violation(kind=f"catalog:{name}", index=int(k),
                                             witness=es[k].copy(), residual=float(rel[k])))
                 if stop_on_violation:
@@ -340,28 +327,11 @@ def _factored(es: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _block(n: int, stream: tuple, j: int) -> tuple:
-    """Block j of an algebra-independent corner stream, with its factors,
-    built once: (es, u, s, vh) of corners j * _block_trials(n) onward.
-
-    stream is ("trials", mode, seed), the trial idempotents, or
-    ("catalog", seed, size, entry), a catalog entry's fixed corners.
-    """
+def _block(n: int, mode: str, seed: int, j: int) -> tuple:
+    """Block j of the (n, mode, seed) trial stream with its factors, drawn
+    once: (es, u, s, vh) of trials j * _block_trials(n) onward."""
     bs = _block_trials(n)
-    if stream[0] == "trials":
-        _, mode, seed = stream
-        es = _draw_trials(n, mode, seed, j * bs, bs)
-    else:
-        _, seed, size, entry = stream
-        es = _fixed_corners(n, seed, size, entry, j * bs, (j + 1) * bs)
-    return _factored(es)
-
-
-def _join(blocks: list) -> tuple:
-    """Consecutive blocks as one (es, u, s, vh); a single block is returned as is."""
-    if len(blocks) == 1:
-        return blocks[0]
-    return tuple(np.concatenate(x) for x in zip(*blocks))
+    return _factored(_draw_trials(n, mode, seed, j * bs, bs))
 
 
 def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
@@ -372,8 +342,10 @@ def _sample_batch(n: int, mode: str, seed: int, t0: int, bsz: int):
     """
     bs = _block_trials(n)
     first, lo = divmod(t0, bs)
-    blocks = [_block(n, ("trials", mode, seed), j) for j in range(first, (t0 + bsz - 1) // bs + 1)]
-    es, *svd = (x[lo : lo + bsz] for x in _join(blocks))
+    blocks = [_block(n, mode, seed, j) for j in range(first, (t0 + bsz - 1) // bs + 1)]
+    if len(blocks) > 1:
+        blocks = [tuple(np.concatenate(x) for x in zip(*blocks))]
+    es, *svd = (x[lo : lo + bsz] for x in blocks[0])
     kinds = ["idempotent" if i else "projection" for i in _twisted(mode, t0, bsz).tolist()]
     return es, tuple(svd), kinds
 
@@ -394,17 +366,16 @@ def check_compressible(
     condition number. Ranks sweep 1..n-1 round robin. Every trial draws from
     its own substream, so reports are reproducible given the seed.
 
-    The trials do not depend on the algebra, and neither do the catalog's
-    coordinate and Haar corners. Each (n, mode, seed) trial stream, and each
-    catalog entry's fixed corners for (n, seed), is cut into blocks of
-    max(1, 65536 // (16 n^2)) corners (256 at n = 4, 113 at n = 6), built
-    and factored by np.linalg.svd once: 64 KB of idempotents plus their
-    factors, at most 208 KB a block. The 256 most recently used blocks are
-    kept, read-only, at most 54.5 MB for n <= 64; above n = 64 a block holds
-    one corner. A catalog entry is fetched when the pass reaches it, so a
-    refuting check stops at its first violating entry. The flag-frame
-    corners, which depend on the algebra, are factored on each check. A
-    report's witnesses are copies, never views of these blocks.
+    The trials do not depend on the algebra. Each (n, mode, seed) trial
+    stream is cut into blocks of max(1, 65536 // (16 n^2)) trials (256 at
+    n = 4, 113 at n = 6), drawn and factored by np.linalg.svd once: 64 KB
+    of idempotents plus their factors, at most 208 KB a block. The 256 most
+    recently used blocks are kept, read-only, at most 54.5 MB for n <= 64;
+    above n = 64 a block holds one trial. Trial residuals are bit-identical
+    to drawing and factoring afresh. The catalog's corners are built on
+    every check, with the closed-form factors of _catalog_pass; their
+    residuals agree with factoring them by np.linalg.svd to about 1e-14. A
+    report's witnesses are copies, never views of a block or a batch.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -491,6 +462,9 @@ def fold_corner(alg: MatrixAlgebra, q1=None, e=None) -> FoldReport:
         q1, e = _aligned_fold(n)
     q1 = np.asarray(q1, dtype=np.complex128)
     e = np.asarray(e, dtype=np.complex128)
+    for name, m in (("q1", q1), ("e", e)):
+        if m.shape != (n, n):
+            raise ShapeMismatchError(f"fold of M_{n} needs an {n} x {n} {name}, got {m.shape}")
     if np.linalg.norm(q1 @ q1 - q1) > 1e-10 or np.linalg.norm(q1 - q1.conj().T) > 1e-10:
         raise ValueError("q1 is not an orthogonal projection")
     if abs(np.trace(q1).real - n / 2) > 1e-8:

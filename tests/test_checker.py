@@ -98,6 +98,15 @@ def test_folded_square_is_rank_one(d):
     assert np.allclose(m, expected, atol=1e-12)
 
 
+def test_catalog_entries_carry_an_orthonormal_range_basis():
+    for n in (3, 4):
+        for name, p, q in checker._witness_catalog(n):
+            np.testing.assert_allclose(q @ q.conj().T, p, rtol=0, atol=1e-14, err_msg=name)
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-14,
+                                       err_msg=name)
+            assert not q.flags.writeable
+
+
 # ---------------------------------------------------------------- refutations
 
 
@@ -277,25 +286,20 @@ def _block_bytes(n):
 
 
 def test_trial_cache_bounds():
-    # 256 blocks of 64 KB of idempotents and their factors, trial and catalog
-    # blocks alike: at most 54.5 MB for n <= 64
+    # 256 blocks of 64 KB of trial idempotents and their factors: at most
+    # 54.5 MB for n <= 64
     assert _block.cache_info().maxsize == 256
     assert [_block_trials(n) for n in (4, 6, 26, 64, 65)] == [256, 113, 6, 1, 1]
     assert all(16 * n * n * _block_trials(n) <= 65536 for n in range(2, 65))
     assert max(_block_bytes(n) for n in range(2, 65)) == _block_bytes(2) == 212992
     assert 256 * _block_bytes(2) <= 64e6
-    # beside them, the Haar frames of one (n, seed): twelve n x n unitaries
-    assert checker._haar_frames.cache_info().maxsize == 1
-    assert 256 * _block_bytes(2) + 12 * 16 * 64 * 64 <= 64e6
-    block = _block(6, ("trials", "idempotent", 3), 0)
+    block = _block(6, "idempotent", 3, 0)
     assert block[0].nbytes == 16 * 6 * 6 * 113
     assert sum(x.nbytes for x in block) == _block_bytes(6)
-    # a catalog block at n = 26 holds 6 of an entry's C(26, 4) + 6 fixed corners
-    assert sum(x.nbytes for x in _block(26, ("catalog", 0, 4, 0), 7)) == _block_bytes(26)
 
 
 def test_shared_blocks_are_read_only():
-    block = _block(4, ("trials", "idempotent", 3), 0)
+    block = _block(4, "idempotent", 3, 0)
     es, svd, _ = _sample_batch(4, "idempotent", 3, 5, 9)
     for window, whole in zip((es, *svd), block, strict=True):
         assert np.shares_memory(window, whole)
@@ -388,8 +392,7 @@ def test_trial_factors_match_the_kernel_run_without_them(mode):
 
 def _reference_catalog_batches(n, u, seed):
     """The catalog's batches from one frame list per size: coordinate frames,
-    flag frames, then six Haar frames, all sizes drawing from one generator.
-    Kept as the reference for the cached blocks of fixed corners."""
+    flag frames, then six Haar frames, all sizes drawing from one generator."""
     rng = np.random.default_rng([seed, 999])
     eye = np.eye(n, dtype=np.complex128)
     batches = []
@@ -407,11 +410,10 @@ def _reference_catalog_batches(n, u, seed):
 
 @pytest.mark.parametrize("flag", [False, True])
 def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
-    # at n = 9 an entry's fixed corners fill several blocks, and one block
-    # holds both coordinate and Haar corners
+    # a catalog corner's closed-form factors (F q, 1, (F q)*) and the SVD the
+    # kernel computes span the same range in different bases, so residuals
+    # agree to rounding, not bit for bit; dims and verdicts agree exactly
     n, seed = 9, 5
-    bs = _block_trials(n)
-    assert comb(n, 4) > 2 * bs and 0 < comb(n, 4) % bs < bs - 6
     # three orthogonal projections of rank 3 span an algebra of dimension 3, so
     # no corner of rank 2 or 3 spans all of M_k and every batch forms products
     w = haar_unitary(n, np.random.default_rng(3))
@@ -422,21 +424,23 @@ def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
 
     def compare(basis, es, tol, svd=None):
         assert svd is not None
-        out = _assert_kernel_factors_match_fresh(basis, es, tol, svd)
-        batches.append((np.array(es), out[0]))
-        return out
+        got = _corner_residual_batch(basis, es, tol, svd)
+        rel, dims = _corner_residual_batch(basis, np.array(es), tol)
+        np.testing.assert_allclose(got[0], rel, rtol=0, atol=1e-13)
+        assert np.array_equal(got[1], dims)
+        for cut in (PASS_RESIDUAL, VIOLATION_RESIDUAL):
+            assert np.array_equal(got[0] > cut, rel > cut)
+        batches.append((np.array(es), got[0]))
+        return got
 
     monkeypatch.setattr(checker, "_corner_residual_batch", compare)
     reference = _reference_catalog_batches(n, u, seed)
-    _block.cache_clear()
-    for _ in range(2):  # cold, then warm
-        batches.clear()
-        corners = checker._catalog_pass(alg, u, seed, [], False)
-        assert corners == sum(map(len, reference))
-        assert len(batches) == len(reference)
-        for (es, _), want in zip(batches, reference):
-            assert np.array_equal(es, want)
-        assert all(np.all(rel > VIOLATION_RESIDUAL) for _, rel in batches)
+    corners = checker._catalog_pass(alg, u, seed, [], False)
+    assert corners == sum(map(len, reference))
+    assert len(batches) == len(reference)
+    for (es, _), want in zip(batches, reference):
+        assert np.array_equal(es, want)
+    assert all(np.all(rel > VIOLATION_RESIDUAL) for _, rel in batches)
 
 
 def test_a_warm_repeat_check_factors_no_algebra_independent_corner(monkeypatch):
@@ -458,22 +462,58 @@ def test_a_warm_repeat_check_factors_no_algebra_independent_corner(monkeypatch):
     monkeypatch.setattr(checker, "_corner_residual_batch", spy)
     n = 5
     _block.cache_clear()
-    checker._haar_frames.cache_clear()
     for seed in (7, 8):  # two disguises of one algebra, each with its own flag frame
         alg = random_instance(make_family("EX2", n), "similarity", seed=seed)
+        draws.clear()
         report = check_compressible(alg, trials=500, seed=43, struct=triangularize(alg))
         assert report.consistent and report.trials_run == 500
         # 5 + 5 flag corners per size-4 entry, 10 + 10 for size 3, each with 6 Haar frames
         assert report.catalog_corners == 9 * 16 + 26
+        # six Haar frames for each of the two sizes, drawn on every catalog pass
+        assert draws == [n] * 12
         if seed == 7:
-            # four trial blocks, one block for each of the ten catalog entries
-            assert sorted(factored) == [11] * 9 + [16] + [_block_trials(n)] * 4
-            # six Haar frames for each of the two sizes, drawn once for all entries
-            assert draws == [n] * 12
+            # a cold check factors its four trial blocks and nothing else
+            assert factored == [_block_trials(n)] * 4
             factored.clear()
     assert factored == []
-    assert draws == [n] * 12
     assert given and all(given)
+
+
+def test_a_repeat_check_at_n14_factors_nothing(monkeypatch):
+    # C(14, 4) = 1001 coordinate frames: the catalog pass builds its corners
+    # itself and reads no block, so it cannot evict the check's trial blocks
+    n = 14
+    factored, catalog_reads, in_catalog = [], [], []
+    factor, block, catalog = checker._factored, checker._block, checker._catalog_pass
+
+    def counted(es):
+        factored.append(len(es))
+        return factor(es)
+
+    def block_spy(*args):
+        if in_catalog:
+            catalog_reads.append(args)
+        return block(*args)
+
+    def catalog_spy(*args):
+        in_catalog.append(True)
+        try:
+            return catalog(*args)
+        finally:
+            in_catalog.pop()
+
+    monkeypatch.setattr(checker, "_factored", counted)
+    monkeypatch.setattr(checker, "_block", block_spy)
+    monkeypatch.setattr(checker, "_catalog_pass", catalog_spy)
+    alg = make_family("SCALAR", n)
+    block.cache_clear()
+    first = _fields(check_compressible(alg, trials=100))
+    assert first[4] == 9 * (comb(n, 4) + 6) + comb(n, 3) + 6 and not first[6]
+    assert factored == [_block_trials(n)] * 5
+    factored.clear()
+    assert _fields(check_compressible(alg, trials=100)) == first
+    assert factored == []
+    assert catalog_reads == []
 
 
 def test_editing_a_witness_leaves_later_checks_unchanged():
@@ -659,6 +699,14 @@ def test_fold_corner_random_frames_on_compressible():
         q1 = v1 @ v1.conj().T
         e = v2 @ v1.conj().T
         assert fold_corner(alg, q1, e).defect < 1e-8
+
+
+def test_fold_corner_rejects_misshapen_inputs():
+    alg = make_family("EX2", 4)
+    q1, e = checker._aligned_fold(4)
+    for args in ((np.eye(2), e), (q1, np.eye(2)), (np.eye(2), np.zeros((2, 2)))):
+        with pytest.raises(ShapeMismatchError, match="4 x 4"):
+            fold_corner(alg, *args)
 
 
 def test_fold_corner_validates_inputs():

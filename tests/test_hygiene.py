@@ -1,10 +1,10 @@
 """Source hygiene, checked on the syntax tree: no unused module-level import,
 rank_eps_factor turned into a rank cutoff only in matcore, one span equality
 decision and one scalar-group scan in the classifier, single corners tested
-only by certify, and trials and the catalog's fixed corners built only by
-the block cache. Also: the package imports no scipy and no third-party module
-that pyproject does not declare, and a classify request that builds Riesz
-projections leaves scipy unloaded."""
+only by certify, trials drawn only by the block cache, and no SVD in the
+checker outside trial blocks and the corner kernel. Also: the package imports
+no scipy and no third-party module that pyproject does not declare, and a
+classify request that builds Riesz projections leaves scipy unloaded."""
 
 import ast
 import os
@@ -140,12 +140,24 @@ def test_only_certify_tests_single_corners():
 
 
 def test_trials_are_drawn_only_through_the_trial_cache():
-    # every check reads its trials and the catalog's fixed corners from the
-    # cached blocks; no uncached path
-    for builder in ("_draw_trials", "_fixed_corners"):
-        calls = {(path.stem, where) for path in MODULES
-                 for where, _ in _found(path, _calls(builder))}
-        assert calls == {("checker", "_block")}, (builder, calls)
+    # every check reads its trials from the cached blocks; no uncached path
+    calls = {(path.stem, where) for path in MODULES
+             for where, _ in _found(path, _calls("_draw_trials"))}
+    assert calls == {("checker", "_block")}, calls
+
+
+def _calls_np_linalg(name):
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == name
+                         and ast.unparse(node.func.value) == "np.linalg")
+
+
+def test_checker_factors_only_trial_blocks_and_single_corners():
+    # catalog corners carry closed-form factors: the checker runs an SVD only
+    # on a trial block, and in the corner kernel (a single corner's factors,
+    # and each corner span)
+    calls = {where for where, _ in _found(SRC / "checker.py", _calls_np_linalg("svd"))}
+    assert calls == {"_factored", "_corner_residual_batch"}, calls
 
 
 def _imported_modules(tree):

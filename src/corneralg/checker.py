@@ -4,7 +4,7 @@ A corner test takes an idempotent E and measures how far the compressed
 space {E a E} is from being multiplicatively closed. Compressible algebras
 pass every corner test; a single confirmed violation refutes compressibility.
 The checker combines a catalog of fixed low-rank projections (embedded
-through coordinate and random frames) with seeded random trials.
+through coordinate and flag frames) with seeded random trials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .matcore import (
     ShapeMismatchError,
     Tolerance,
     as_matrix,
-    haar_unitary,
     numerical_ranks,
 )
 from .subalgebra import MatrixAlgebra, closure_defect, subspace_from
@@ -39,12 +38,15 @@ __all__ = [
 # the band in between is counted as indeterminate and decides nothing
 PASS_RESIDUAL = 1e-8
 VIOLATION_RESIDUAL = 1e-6
-# Haar frames per catalog size, after the coordinate and flag frames
-_HAAR_FRAMES = 6
 
 
 @dataclass(frozen=True, eq=False)
 class Violation:
+    """A corner with residual above VIOLATION_RESIDUAL. For kind 'projection' or
+    'idempotent', index is the trial's number in the (n, mode, seed) stream;
+    for kind 'catalog:<name>', the corner's place in that entry's frame batch:
+    coordinate frames in combinations order, then flag frames."""
+
     kind: str
     index: int
     witness: np.ndarray
@@ -237,9 +239,9 @@ def _frames(m: np.ndarray, size: int) -> list:
     return [m[:, list(idx)] for idx in combinations(range(m.shape[0]), size)]
 
 
-def _catalog_pass(alg: MatrixAlgebra, u, seed: int, violations: list, stop_on_violation: bool):
-    """Test every catalog entry through coordinate, flag (u) and Haar frames,
-    one kernel batch per entry in that order; returns the corners tested.
+def _catalog_pass(alg: MatrixAlgebra, u, violations: list, stop_on_violation: bool):
+    """Test every catalog entry through coordinate and then flag (u) frames,
+    one kernel batch per entry; returns the corners tested.
 
     The corner F p F* of an entry p = q q* through a frame F has the compact
     SVD (F q)(F q)*, so the kernel gets its factors without factoring.
@@ -248,7 +250,6 @@ def _catalog_pass(alg: MatrixAlgebra, u, seed: int, violations: list, stop_on_vi
     n = alg.n
     if u is not None and np.allclose(np.abs(u), np.eye(n), atol=1e-9):
         u = None
-    rng = np.random.default_rng([seed, 999])
     corners = 0
     for size in (3, 4):
         catalog = _witness_catalog(size)
@@ -257,7 +258,6 @@ def _catalog_pass(alg: MatrixAlgebra, u, seed: int, violations: list, stop_on_vi
         frames = _frames(np.eye(n, dtype=np.complex128), size)
         if u is not None:
             frames += _frames(u, size)
-        frames += [haar_unitary(n, rng)[:, :size] for _ in range(_HAAR_FRAMES)]
         f = np.array(frames)
         fh = f.conj().transpose(0, 2, 1)
         for name, p, q in catalog:
@@ -372,10 +372,11 @@ def check_compressible(
     of idempotents plus their factors, at most 208 KB a block. The 256 most
     recently used blocks are kept, read-only, at most 54.5 MB for n <= 64;
     above n = 64 a block holds one trial. Trial residuals are bit-identical
-    to drawing and factoring afresh. The catalog's corners are built on
-    every check, with the closed-form factors of _catalog_pass; their
-    residuals agree with factoring them by np.linalg.svd to about 1e-14. A
-    report's witnesses are copies, never views of a block or a batch.
+    to drawing and factoring afresh. The catalog draws nothing: its corners
+    depend on the algebra and the flag unitary alone, and are built on every
+    check with the closed-form factors of _catalog_pass; their residuals
+    agree with factoring them by np.linalg.svd to about 1e-14. A report's
+    witnesses are copies, never views of a block or a batch.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -399,18 +400,13 @@ def check_compressible(
                 u = triangularize(alg, seed=seed).u
             except NumericalFailureError:
                 u = None
-        catalog_corners = _catalog_pass(alg, u, seed, violations, stop_on_violation)
-        if violations and stop_on_violation:
-            return CheckReport(mode=mode, seed=seed, requested_trials=trials,
-                               trials_run=0, catalog_corners=catalog_corners,
-                               indeterminate=0, violations=tuple(violations))
+        catalog_corners = _catalog_pass(alg, u, violations, stop_on_violation)
 
-    indeterminate = 0
-    trials_run = 0
+    indeterminate = trials_run = trial = 0
     d = basis.shape[0]
     chunk = max(4, min(256, int(4e6 / (d * d * n * n + 1))))
-    trial = 0
-    while trial < trials:
+    # with stop_on_violation the first violation, the catalog's too, ends the check
+    while trial < trials and not (violations and stop_on_violation):
         bsz = min(chunk, trials - trial)
         es, svd, kinds = _sample_batch(n, mode, seed, trial, bsz)
         rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
@@ -421,18 +417,10 @@ def check_compressible(
             # a copy: the cached blocks are shared by every later check
             violations.append(Violation(kind=kinds[k], index=trial + int(k),
                                         witness=es[k].copy(), residual=float(rel[k])))
-        if violations and stop_on_violation:
-            break
         trial += bsz
-    return CheckReport(
-        mode=mode,
-        seed=seed,
-        requested_trials=trials,
-        trials_run=trials_run,
-        catalog_corners=catalog_corners,
-        indeterminate=indeterminate,
-        violations=tuple(violations),
-    )
+    return CheckReport(mode=mode, seed=seed, requested_trials=trials, trials_run=trials_run,
+                       catalog_corners=catalog_corners, indeterminate=indeterminate,
+                       violations=tuple(violations))
 
 
 def _aligned_fold(n: int):

@@ -157,8 +157,8 @@ def _find_witness(alg: MatrixAlgebra, wd: WedderburnData | None, seed: int) -> V
     Projection and idempotent compressibility agree for unital algebras, so an
     orthogonal projection P with an unclosed corner refutes both, and with
     ||P||_2 = 1 its residual sits at the roundoff floor. The search is the
-    checker's: the witness catalog through coordinate, flag and Haar frames,
-    then 1536 range-projection trials, each stage in batched corner tests.
+    checker's: the witness catalog through coordinate and flag frames, then
+    1536 range-projection trials, each stage in batched corner tests.
     """
     return check_compressible(alg, mode="projection", trials=1536, seed=seed,
                               struct=None if wd is None else wd.block).first_violation()

@@ -1,9 +1,10 @@
 """Command-line front end: generate, check, classify, and inspect algebras.
 
 Exit codes: 0 success or compressible, 1 not-compressible verdict, 2 input
-error, 3 numerical or consistency failure. Reports go to stdout, diagnostics
-to stderr. The environment variable CORNERALG_TOL overrides rel_eps for the
-whole invocation.
+error, 3 numerical or consistency failure, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early, as `| head` does. Reports go to stdout,
+diagnostics to stderr. The environment variable CORNERALG_TOL overrides
+rel_eps for the whole invocation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_NOT_COMPRESSIBLE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _tolerance() -> Tolerance:
@@ -91,7 +93,8 @@ def _check_text(report: CheckReport) -> str:
     ]
     v = report.first_violation()
     if v is not None:
-        lines.append(f"violation: {v.kind} (trial {v.index}), corner residual {v.residual:.3e}")
+        where = "catalog corner" if v.kind.startswith("catalog:") else "trial"
+        lines.append(f"violation: {v.kind} ({where} {v.index}), corner residual {v.residual:.3e}")
         lines.append("witness idempotent:")
         lines.append(_mat_text(v.witness))
     return "\n".join(lines)
@@ -329,7 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at os.devnull, so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except AlgebraFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -390,10 +390,9 @@ def test_trial_factors_match_the_kernel_run_without_them(mode):
             _assert_kernel_factors_match_fresh(checker._basis_stack(alg), es, alg.tol, svd)
 
 
-def _reference_catalog_batches(n, u, seed):
+def _reference_catalog_batches(n, u):
     """The catalog's batches from one frame list per size: coordinate frames,
-    flag frames, then six Haar frames, all sizes drawing from one generator."""
-    rng = np.random.default_rng([seed, 999])
+    then flag frames."""
     eye = np.eye(n, dtype=np.complex128)
     batches = []
     for size in (3, 4):
@@ -403,7 +402,6 @@ def _reference_catalog_batches(n, u, seed):
         frames = [eye[:, list(idx)] for idx in combinations(range(n), size)]
         if u is not None:
             frames += [u[:, list(idx)] for idx in combinations(range(n), size)]
-        frames += [haar_unitary(n, rng)[:, :size] for _ in range(6)]
         batches += [np.array([f @ p @ f.conj().T for f in frames]) for _, p in cat]
     return batches
 
@@ -413,7 +411,7 @@ def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
     # a catalog corner's closed-form factors (F q, 1, (F q)*) and the SVD the
     # kernel computes span the same range in different bases, so residuals
     # agree to rounding, not bit for bit; dims and verdicts agree exactly
-    n, seed = 9, 5
+    n = 9
     # three orthogonal projections of rank 3 span an algebra of dimension 3, so
     # no corner of rank 2 or 3 spans all of M_k and every batch forms products
     w = haar_unitary(n, np.random.default_rng(3))
@@ -434,13 +432,25 @@ def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
         return got
 
     monkeypatch.setattr(checker, "_corner_residual_batch", compare)
-    reference = _reference_catalog_batches(n, u, seed)
-    corners = checker._catalog_pass(alg, u, seed, [], False)
+    reference = _reference_catalog_batches(n, u)
+    corners = checker._catalog_pass(alg, u, [], False)
     assert corners == sum(map(len, reference))
     assert len(batches) == len(reference)
     for (es, _), want in zip(batches, reference):
         assert np.array_equal(es, want)
     assert all(np.all(rel > VIOLATION_RESIDUAL) for _, rel in batches)
+
+
+def test_the_catalog_is_independent_of_the_seed():
+    # the catalog draws nothing: given the flag frame, a seed moves only the trials
+    alg = random_instance(make_family("DIAGONAL", 5), "similarity", seed=6)
+    struct = triangularize(alg)
+    reports = [_fields(check_compressible(alg, trials=0, seed=seed, stop_on_violation=False,
+                                          struct=struct))
+               for seed in (0, 1, 2)]
+    assert reports[0][6], "the catalog refutes a diagonal algebra"
+    for report in reports[1:]:
+        assert report[:1] + report[2:] == reports[0][:1] + reports[0][2:]
 
 
 def test_a_warm_repeat_check_factors_no_algebra_independent_corner(monkeypatch):
@@ -455,22 +465,16 @@ def test_a_warm_repeat_check_factors_no_algebra_independent_corner(monkeypatch):
         given.append(svd is not None)
         return kernel(basis, es, tol, svd)
 
-    draws = []
-    haar = checker.haar_unitary
-    monkeypatch.setattr(checker, "haar_unitary", lambda *a: draws.append(a[0]) or haar(*a))
     monkeypatch.setattr(checker, "_factored", counted)
     monkeypatch.setattr(checker, "_corner_residual_batch", spy)
     n = 5
     _block.cache_clear()
     for seed in (7, 8):  # two disguises of one algebra, each with its own flag frame
         alg = random_instance(make_family("EX2", n), "similarity", seed=seed)
-        draws.clear()
         report = check_compressible(alg, trials=500, seed=43, struct=triangularize(alg))
         assert report.consistent and report.trials_run == 500
-        # 5 + 5 flag corners per size-4 entry, 10 + 10 for size 3, each with 6 Haar frames
-        assert report.catalog_corners == 9 * 16 + 26
-        # six Haar frames for each of the two sizes, drawn on every catalog pass
-        assert draws == [n] * 12
+        # 5 + 5 flag corners per size-4 entry, 10 + 10 for size 3
+        assert report.catalog_corners == 9 * 10 + 20
         if seed == 7:
             # a cold check factors its four trial blocks and nothing else
             assert factored == [_block_trials(n)] * 4
@@ -508,7 +512,7 @@ def test_a_repeat_check_at_n14_factors_nothing(monkeypatch):
     alg = make_family("SCALAR", n)
     block.cache_clear()
     first = _fields(check_compressible(alg, trials=100))
-    assert first[4] == 9 * (comb(n, 4) + 6) + comb(n, 3) + 6 and not first[6]
+    assert first[4] == 9 * comb(n, 4) + comb(n, 3) and not first[6]
     assert factored == [_block_trials(n)] * 5
     factored.clear()
     assert _fields(check_compressible(alg, trials=100)) == first

@@ -1,13 +1,14 @@
 """Subcommand behavior, exit codes, report schemas."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from corneralg.cli import main
+from corneralg.cli import EXIT_BROKEN_PIPE, main
 from corneralg.io import encode_algebra, write_algebra
 from corneralg.subalgebra import algebra_from_span
 
@@ -93,6 +94,17 @@ def test_check_exit_codes_and_json(tmp_path, capsys, jordan_file):
     assert not doc["consistent"]
     assert doc["violations"][0]["residual"] > 1e-6
     assert len(doc["violations"][0]["witness"]) == 4
+
+
+def test_check_text_names_a_catalog_violation_by_its_corner(tmp_path, capsys, jordan_file):
+    # a catalog index is the corner's place in its entry's frame batch, not a trial
+    rc, out = run(capsys, "check", jordan_file, "--trials", "0")
+    assert rc == 1
+    assert "violation: catalog:rank3-outer-pair (catalog corner 0)," in out
+    d3 = str(tmp_path / "d3.json")
+    run(capsys, "gen", "--family", "DIAGONAL", "--n", "3", "-o", d3)
+    rc, out = run(capsys, "check", d3, "--trials", "40")
+    assert rc == 1 and "violation: idempotent (trial " in out
 
 
 def test_check_projection_mode(tmp_path, capsys):
@@ -213,6 +225,24 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- entry point
+
+
+@pytest.mark.parametrize("buffering", [1, -1])  # raises in the verb, or at the last flush
+def test_a_reader_closing_stdout_early_ends_without_a_traceback(monkeypatch, jordan_file,
+                                                                 buffering):
+    # a pipe whose reader is gone: every write to it raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    writer = open(write_end, "w", buffering=buffering)
+    monkeypatch.setattr(sys, "stdout", writer)
+    try:
+        rc = main(["witness", jordan_file, "--trials", "40"])
+        # stdout now points at os.devnull, so the interpreter's last flush succeeds
+        print("after")
+        writer.flush()
+    finally:
+        writer.close()
+    assert rc == EXIT_BROKEN_PIPE
 
 
 def test_module_entry_point(tmp_path):

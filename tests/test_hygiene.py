@@ -2,7 +2,8 @@
 rank_eps_factor turned into a rank cutoff only in matcore, one span equality
 decision and one scalar-group scan in the classifier, single corners tested
 only by certify, trials drawn only by the block cache, and no SVD in the
-checker outside trial blocks and the corner kernel. Also: the package imports
+checker outside trial blocks and the corner kernel, and no random draw in the
+checker outside the trial sampler. Also: the package imports
 no scipy and no third-party module that pyproject does not declare, and a
 classify request that builds Riesz projections leaves scipy unloaded."""
 
@@ -144,6 +145,27 @@ def test_trials_are_drawn_only_through_the_trial_cache():
     calls = {(path.stem, where) for path in MODULES
              for where, _ in _found(path, _calls("_draw_trials"))}
     assert calls == {("checker", "_block")}, calls
+
+
+def _calls_any(names):
+    """Calls to any of names, as a bare name or as an attribute (np.random.default_rng)."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return ((isinstance(f, ast.Name) and f.id in names)
+                or (isinstance(f, ast.Attribute) and f.attr in names))
+    return hit
+
+
+def test_checker_draws_randomness_only_in_the_trial_sampler():
+    # the catalog is fixed; a random witness is a trial, drawn in _draw_trials
+    calls = _found(SRC / "checker.py",
+                   _calls_any({"default_rng", "haar_unitary", "random_similarity"}))
+    stray = [f"checker.py:{line} in {where or '<module>'}"
+             for where, line in calls if where != "_draw_trials"]
+    assert not stray, f"random draws outside _draw_trials: {stray}"
+    assert any(where == "_draw_trials" for where, _ in calls)
 
 
 def _calls_np_linalg(name):

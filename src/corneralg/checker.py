@@ -219,18 +219,13 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, sv
     return rel, dims
 
 
-def _basis_stack(alg: MatrixAlgebra) -> np.ndarray:
-    """(d, n, n) view of the algebra's cached basis rows; equal to np.array(alg.basis)."""
-    return alg.space.vecs.reshape(alg.dim, alg.n, alg.n)
-
-
 def corner_residual(alg: MatrixAlgebra, e) -> float:
     """Relative closure residual of the single corner {E a E}; E is an n x n idempotent."""
     e = as_matrix(e)
     n = alg.n
     if e.shape != (n, n):
         raise ShapeMismatchError(f"corner of M_{n} needs an {n} x {n} idempotent, got {e.shape}")
-    rel, _ = _corner_residual_batch(_basis_stack(alg), e[None], alg.tol)
+    rel, _ = _corner_residual_batch(alg.basis, e[None], alg.tol)
     return float(rel[0])
 
 
@@ -246,7 +241,6 @@ def _catalog_pass(alg: MatrixAlgebra, u, violations: list, stop_on_violation: bo
     The corner F p F* of an entry p = q q* through a frame F has the compact
     SVD (F q)(F q)*, so the kernel gets its factors without factoring.
     """
-    basis = _basis_stack(alg)
     n = alg.n
     if u is not None and np.allclose(np.abs(u), np.eye(n), atol=1e-9):
         u = None
@@ -264,7 +258,7 @@ def _catalog_pass(alg: MatrixAlgebra, u, violations: list, stop_on_violation: bo
             es = f @ p @ fh
             x = f @ q
             svd = (x, np.ones((len(x), q.shape[1])), x.conj().transpose(0, 2, 1))
-            rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
+            rel, _ = _corner_residual_batch(alg.basis, es, alg.tol, svd)
             corners += len(es)
             for k in np.nonzero(rel > VIOLATION_RESIDUAL)[0]:
                 # a copy: the witness keeps no batch alive
@@ -386,7 +380,6 @@ def check_compressible(
     if n < 2:
         return CheckReport(mode=mode, seed=seed, requested_trials=trials, trials_run=0,
                            catalog_corners=0, indeterminate=0, violations=())
-    basis = _basis_stack(alg)
     violations = []
     catalog_corners = 0
     if use_catalog:
@@ -397,19 +390,20 @@ def check_compressible(
             try:
                 from .structure import triangularize
 
-                u = triangularize(alg, seed=seed).u
+                # at its default seed: the check's seed reaches the trials only
+                u = triangularize(alg).u
             except NumericalFailureError:
                 u = None
         catalog_corners = _catalog_pass(alg, u, violations, stop_on_violation)
 
     indeterminate = trials_run = trial = 0
-    d = basis.shape[0]
+    d = alg.dim
     chunk = max(4, min(256, int(4e6 / (d * d * n * n + 1))))
     # with stop_on_violation the first violation, the catalog's too, ends the check
     while trial < trials and not (violations and stop_on_violation):
         bsz = min(chunk, trials - trial)
         es, svd, kinds = _sample_batch(n, mode, seed, trial, bsz)
-        rel, _ = _corner_residual_batch(basis, es, alg.tol, svd)
+        rel, _ = _corner_residual_batch(alg.basis, es, alg.tol, svd)
         trials_run += bsz
         indeterminate += int(np.count_nonzero((rel > PASS_RESIDUAL) & (rel <= VIOLATION_RESIDUAL)))
         bad = np.nonzero(rel > VIOLATION_RESIDUAL)[0]
@@ -461,7 +455,6 @@ def fold_corner(alg: MatrixAlgebra, q1=None, e=None) -> FoldReport:
             or np.linalg.norm(e @ e.conj().T - (np.eye(n) - q1)) > 1e-10):
         raise ValueError("e is not a partial isometry from ran(q1) onto its complement")
     r = q1 + e
-    folded = [r.conj().T @ b @ r for b in alg.basis]
-    space = subspace_from(folded, n=n, tol=alg.tol)
+    space = subspace_from(r.conj().T @ alg.basis @ r, n=n, tol=alg.tol)
     defect = closure_defect(space)
     return FoldReport(closed=defect <= VIOLATION_RESIDUAL, defect=defect, dim=space.dim)

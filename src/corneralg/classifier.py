@@ -80,10 +80,6 @@ class GeneratedVerdict:
 # ---------------------------------------------------------------- helpers
 
 
-def _stack(alg: MatrixAlgebra) -> np.ndarray:
-    return np.array(alg.basis)
-
-
 def _span_rank(flat: np.ndarray, atol: float = 1e-7) -> int:
     """Span dimension with an absolute cutoff.
 
@@ -200,9 +196,9 @@ def _corner_module_route(alg, rstack, groups, r12: int, r23: int, type_path: str
     g1, g2, g3 = groups
     d = len(g2)
     idx = range(rstack.shape[0])
-    c1 = (support_columns(list(rstack[np.ix_(idx, g1, g2)]), "col", alg.tol) if r12
+    c1 = (support_columns(rstack[np.ix_(idx, g1, g2)], "col", alg.tol) if r12
           else np.zeros((len(g1), 0)))
-    c3 = (support_columns(list(rstack[np.ix_(idx, g2, g3)]), "row", alg.tol) if r23
+    c3 = (support_columns(rstack[np.ix_(idx, g2, g3)], "row", alg.tol) if r23
           else np.zeros((len(g3), 0)))
     c1_full = np.zeros((n, c1.shape[1]), dtype=np.complex128)
     c1_full[g1, :] = c1
@@ -226,7 +222,7 @@ def _case_three_groups(alg, wd, a: int, e: int):
     n1, d, n3 = len(g1), len(g2), len(g3)
     prefix = "unique-k" if d >= 2 else "three-groups"
     defect = f"{prefix}-defect"
-    rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
+    rstack = wd.rad.basis
     # projection dimensions; gradedness itself is settled by the certificate
     r12 = _corner_dim(rstack, g1, g2)
     r13 = _corner_dim(rstack, g1, g3)
@@ -244,11 +240,11 @@ def _case_three_groups(alg, wd, a: int, e: int):
             return [_Route(family="EX1", params={"ranks": (n1, d, n3)},
                            type_path=f"{prefix}-ex1")], defect
         if d == 1 and n1 == 1 and r12 == 0 and r13 == n3 and r23 == n3:
-            t_hat = _hinge_fit(np.array(wd.reduced.basis), 0, a)
+            t_hat = _hinge_fit(wd.reduced.basis, 0, a)
             return [_Route(family="AT", params={"ranks": (1, 1, n3)},
                            type_path="three-groups-hinged", t=t_hat)], defect
         if d == 1 and n3 == 1 and r23 == 0 and r12 == n1 and r13 == n1:
-            t_hat = _hinge_fit(np.array(wd.reduced.basis), a, n - 1)
+            t_hat = _hinge_fit(wd.reduced.basis, a, n - 1)
             return [_Route(family="AT", variant="anti", params={"ranks": (1, 1, n1)},
                            type_path="three-groups-hinged-anti", t=t_hat)], defect
         return [], defect
@@ -275,9 +271,9 @@ def _case_split(alg, wd, a: int, b: int):
     a coordinates; b is the scalar suffix."""
     struct = wd.block
     n = alg.n
-    rstack = np.array(wd.rad.basis) if wd.rad.dim else np.zeros((0, n, n))
-    p_hat = support_columns(list(rstack), "col", alg.tol) if wd.rad.dim else np.zeros((n, 0))
-    q_hat = support_columns(list(rstack), "row", alg.tol) if wd.rad.dim else np.zeros((n, 0))
+    rstack = wd.rad.basis
+    p_hat = support_columns(rstack, "col", alg.tol) if wd.rad.dim else np.zeros((n, 0))
+    q_hat = support_columns(rstack, "row", alg.tol) if wd.rad.dim else np.zeros((n, 0))
     rp, rq = p_hat.shape[1], q_hat.shape[1]
     if wd.rad.dim != rp * rq:
         return [], "split-defect"
@@ -314,7 +310,7 @@ def _route(alg: MatrixAlgebra, wd: WedderburnData):
     n = alg.n
     off = wd.block.offsets
     blocks = [list(range(off[i], off[i + 1])) for i in range(len(off) - 1)]
-    ustack = _stack(wd.unhinged)
+    ustack = wd.unhinged.basis
     a = _scalar_run(ustack, blocks[:-1])
     b = _scalar_run(ustack, blocks[:0:-1])
     if a >= n - b:

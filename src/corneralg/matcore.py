@@ -1,7 +1,8 @@
 """Dense complex-matrix kernel: SVD wrappers, numerical rank, Frobenius-orthonormal spans.
 
-Everything downstream treats a matrix subspace as a list of matrices that are
-orthonormal with respect to the Frobenius inner product <X, Y> = Tr(Y* X).
+Everything downstream holds a matrix subspace as one (d, n, n) stack of
+matrices that are orthonormal with respect to the Frobenius inner product
+<X, Y> = Tr(Y* X).
 This module owns the tolerance conventions used to make that numerically
 meaningful.
 """
@@ -20,8 +21,6 @@ __all__ = [
     "ShapeMismatchError",
     "as_matrix",
     "frob",
-    "vec",
-    "unvec",
     "svd_factor",
     "numerical_rank",
     "numerical_ranks",
@@ -79,14 +78,6 @@ def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def vec(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x).reshape(-1)
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v).reshape(rows, cols)
-
-
 class SVD(NamedTuple):
     u: np.ndarray
     s: np.ndarray
@@ -129,40 +120,37 @@ def rank_tol(x, tol: Tolerance = DEFAULT_TOL) -> int:
     return numerical_rank(svd_factor(x).s, tol)
 
 
-def _phase_fix(rows: np.ndarray) -> np.ndarray:
-    """Rotate each row so its largest-modulus entry is real positive."""
-    out = rows.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        a = out[i, j]
-        if abs(a) > 0:
-            out[i] *= abs(a) / a
-    return out
-
-
 def orthonormal_span(
-    mats: Sequence[np.ndarray],
+    mats: Sequence[np.ndarray] | np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
     shape: tuple[int, int] | None = None,
-) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of span(mats), deterministic given input order.
+) -> np.ndarray:
+    """Frobenius-orthonormal basis of span(mats) as a (rank, r, c) stack,
+    deterministic given input order.
 
-    The matrices are vectorized, stacked, and run through one SVD; directions
-    with singular value at or below the rank threshold are dropped.
+    mats is a sequence of equal-shape r x c matrices or an (m, r, c) stack.
+    The matrices are flattened into the rows of one matrix and run through
+    one SVD; directions with singular value at or below the rank threshold
+    are dropped, and each kept row is rotated so that its largest-modulus
+    entry is real positive. Empty input gives shape (0, *shape).
     """
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        return []
-    r, c = mats[0].shape
+    try:
+        stack = np.asarray(mats, dtype=np.complex128)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"mixed shapes in span input: {exc}") from exc
+    if stack.shape[:1] == (0,):
+        return np.zeros((0, *(shape or (0, 0))), dtype=np.complex128)
+    if stack.ndim != 3 or stack.size == 0:
+        raise ShapeMismatchError(f"expected a stack of 2-d matrices, got shape {stack.shape}")
+    m, r, c = stack.shape
     if shape is not None and (r, c) != shape:
         raise ShapeMismatchError(f"expected shape {shape}, got {(r, c)}")
-    for m in mats:
-        if m.shape != (r, c):
-            raise ShapeMismatchError("mixed shapes in span input")
-    stack = np.array([vec(m) for m in mats])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    basis = _phase_fix(vh[:numerical_rank(s, tol)])
-    return [unvec(row, r, c) for row in basis]
+    _, s, vh = np.linalg.svd(stack.reshape(m, r * c), full_matrices=False)
+    rows = vh[:numerical_rank(s, tol)]
+    top = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    # scalar division: numpy's array division can differ in the last bit
+    phase = np.array([abs(a) / a if abs(a) > 0 else 1.0 for a in top], dtype=np.complex128)
+    return (rows * phase[:, None]).reshape(-1, r, c)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

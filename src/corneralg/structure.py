@@ -124,19 +124,14 @@ def radical(alg: MatrixAlgebra) -> MatrixSubspace:
     """Jacobson radical as a subspace: the kernel of the trace form on the algebra."""
     if not alg.unital:
         raise ValueError("radical via the trace form requires a unital algebra")
-    if alg.dim == 0:
-        return MatrixSubspace(n=alg.n, basis=(), tol=alg.tol)
-    b = np.array(alg.basis)
+    b = alg.basis
     g = np.einsum("iab,jba->ij", b, b)
     _, s, vh = np.linalg.svd(g)
     null = vh[numerical_rank(s, alg.tol):].conj()
-    mats = [np.tensordot(c, b, axes=(0, 0)) for c in null]
-    return subspace_from(mats, n=alg.n, tol=alg.tol) if mats else MatrixSubspace(
-        n=alg.n, basis=(), tol=alg.tol
-    )
+    return subspace_from([np.tensordot(c, b, axes=(0, 0)) for c in null], n=alg.n, tol=alg.tol)
 
 
-def _unital_algebra(mats: Sequence[np.ndarray], n: int, tol: Tolerance) -> MatrixAlgebra:
+def _unital_algebra(mats: np.ndarray, n: int, tol: Tolerance) -> MatrixAlgebra:
     # internal: caller guarantees closure (images of algebras under homomorphisms)
     return MatrixAlgebra(space=subspace_from(mats, n=n, tol=tol), unital=True)
 
@@ -186,8 +181,8 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
     m = stack.shape[1]
     if m == 1:
         return np.eye(1, dtype=np.complex128)
-    alg = _unital_algebra(list(stack), m, tol)
-    b = np.array(alg.basis)
+    alg = _unital_algebra(stack, m, tol)
+    b = alg.basis
     d = len(b)
     if d <= 1:
         # scalars: every line is invariant
@@ -197,7 +192,7 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
     rad = radical(alg)
     if rad.dim > 0:
         # the range of the radical is a proper invariant subspace
-        cols = np.hstack([r for r in rad.basis])
+        cols = np.hstack(rad.basis)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         r = numerical_rank(s, tol)
         w = u[:, :r]
@@ -211,7 +206,7 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
     # semisimple with a proper invariant subspace; try the center first
     center = _center_coeffs(b, tol)
     if len(center) > 1:
-        z = np.tensordot(rng.standard_normal(len(center)), np.array(center), axes=(0, 0))
+        z = np.tensordot(rng.standard_normal(len(center)), center, axes=(0, 0))
         zm = np.tensordot(z, b, axes=(0, 0))
         w = _eigencluster_frame(zm, rng, want_proper=True)
         sub = np.einsum("pa,iab,bq->ipq", w.conj().T, b, w)
@@ -235,13 +230,13 @@ def _minimal_invariant(stack: np.ndarray, rng: np.random.Generator, tol: Toleran
     return w @ z
 
 
-def _center_coeffs(b: np.ndarray, tol: Tolerance):
-    """Coefficient vectors (in the basis b) spanning the center of span(b)."""
+def _center_coeffs(b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Coefficient vectors (in the basis b), as rows, spanning the center of span(b)."""
     d, m, _ = b.shape
     comms = np.einsum("kab,ibc->kiac", b, b) - np.einsum("iab,kbc->kiac", b, b)
     sys = comms.reshape(d, d * m * m).T
     _, s, vh = np.linalg.svd(sys, full_matrices=False)
-    return [row.conj() for row in vh[numerical_rank(s, tol):]]
+    return vh[numerical_rank(s, tol):].conj()
 
 
 def _eigencluster_frame(zm: np.ndarray, rng: np.random.Generator, want_proper: bool) -> np.ndarray:
@@ -337,7 +332,7 @@ def triangularize(alg: MatrixAlgebra, seed: int = 0) -> BlockStructure:
     """
     if not alg.unital:
         raise ValueError("triangularize requires a unital algebra")
-    stack = np.array(alg.basis)
+    stack = alg.basis
     scale = max(1.0, float(np.max(np.abs(stack))))
     last_err = None
     for attempt in range(_RETRY_BUDGET):
@@ -366,7 +361,7 @@ def triangularize(alg: MatrixAlgebra, seed: int = 0) -> BlockStructure:
 
 def reduced_algebra(alg: MatrixAlgebra, struct: BlockStructure) -> MatrixAlgebra:
     u = struct.u
-    mats = [u.conj().T @ b @ u for b in alg.basis]
+    mats = u.conj().T @ alg.basis @ u
     return MatrixAlgebra(space=subspace_from(mats, n=alg.n, tol=alg.tol), unital=alg.unital)
 
 
@@ -375,19 +370,21 @@ def bd_part(x: np.ndarray, struct: BlockStructure) -> np.ndarray:
 
 
 def bd_algebra(reduced: MatrixAlgebra, struct: BlockStructure) -> MatrixAlgebra:
-    mats = [bd_part(b, struct) for b in reduced.basis]
-    return _unital_algebra(mats, reduced.n, reduced.tol)
+    return _unital_algebra(bd_part(reduced.basis, struct), reduced.n, reduced.tol)
 
 
-def support_columns(mats: Sequence[np.ndarray], side: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal frame for the joint column span ('col') or row span ('row')."""
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
-    if not mats:
+def support_columns(
+    mats: Sequence[np.ndarray] | np.ndarray, side: str, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """Orthonormal frame for the joint column span ('col') or row span ('row')
+    of a sequence of equal-shape matrices or an (m, r, c) stack."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    if len(mats) == 0:
         raise ValueError("support of an empty family")
     if side == "col":
         cols = np.hstack(mats)
     elif side == "row":
-        cols = np.hstack([m.conj().T for m in mats])
+        cols = np.hstack(mats.conj().transpose(0, 2, 1))
     else:
         raise ValueError(f"unknown side {side!r}")
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -428,25 +425,21 @@ def _riesz_projection(a: np.ndarray, labels: np.ndarray, width: float) -> np.nda
 def _pick_coupler(
     f_left: np.ndarray,
     f_right: np.ndarray,
-    basis: Sequence[np.ndarray],
+    basis: np.ndarray,
     struct: BlockStructure,
     rng: np.random.Generator,
 ):
-    """Element b of the algebra with f_left b f_right having a usable diagonal part."""
-    best, best_norm = None, 0.0
-    candidates = list(basis)
+    """f_left b f_right with the largest diagonal part, b over the (d, n, n)
+    basis and 8 random combinations of it."""
     d = len(basis)
-    for _ in range(8):
-        coef = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        candidates.append(np.tensordot(coef, np.array(basis), axes=(0, 0)))
-    for b in candidates:
-        v = f_left @ b @ f_right
-        w = float(np.linalg.norm(bd_part(v, struct)))
-        if w > best_norm:
-            best, best_norm = v, w
-    if best is None or best_norm < 1e-8:
+    coefs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(8)]
+    candidates = np.concatenate([basis, [np.tensordot(c, basis, axes=(0, 0)) for c in coefs]])
+    vs = f_left @ candidates @ f_right
+    norms = [np.linalg.norm(bd_part(v, struct)) for v in vs]
+    best = int(np.argmax(norms))
+    if norms[best] < 1e-8:
         raise NumericalFailureError("no coupling element found between clusters")
-    return best
+    return vs[best]
 
 
 def unhinge(
@@ -464,26 +457,25 @@ def unhinge(
     n = reduced.n
     rad_red = radical(reduced)
     # fast path: already unhinged
-    hybrid = subspace_from(list(bd.basis) + list(rad_red.basis), n=n, tol=reduced.tol)
+    hybrid = subspace_from(np.concatenate([bd.basis, rad_red.basis]), n=n, tol=reduced.tol)
     if hybrid.dim == reduced.dim and all(hybrid.contains(b)[0] for b in reduced.basis):
         return np.eye(n, dtype=np.complex128)
 
     class_sizes = {s: struct.sizes[cls[0]] for s, cls in enumerate(struct.classes)}
     mult = {s: len(cls) for s, cls in enumerate(struct.classes)}
-    bd_stack = np.array([b.reshape(-1) for b in bd.basis])
+    # the block-diagonal map on the basis, one row per element, for the lift
+    red_bd = bd_part(reduced.basis, struct).reshape(reduced.dim, -1)
     last_err = None
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng([seed, 7, attempt])
         try:
-            w0 = np.tensordot(rng.standard_normal(bd.dim), np.array(bd.basis), axes=(0, 0))
+            w0 = np.tensordot(rng.standard_normal(bd.dim), bd.basis, axes=(0, 0))
             vals = np.linalg.eigvals(w0)
             scale = max(1.0, float(np.max(np.abs(vals))))
             groups = _cluster_values(vals, 1e-6 * scale)
             # lift w0 into the algebra through the block-diagonal map
-            target = w0.reshape(-1)
-            red_bd = np.array([bd_part(b, struct).reshape(-1) for b in reduced.basis])
-            coef, res, _, _ = np.linalg.lstsq(red_bd.T, target, rcond=None)
-            a_w = np.tensordot(coef, np.array(reduced.basis), axes=(0, 0))
+            coef = np.linalg.lstsq(red_bd.T, w0.reshape(-1), rcond=None)[0]
+            a_w = np.tensordot(coef, reduced.basis, axes=(0, 0))
             if np.linalg.norm(bd_part(a_w, struct) - w0) > 1e-8 * scale:
                 raise NumericalFailureError("block-diagonal lift failed")
             # spectral idempotents per eigenvalue cluster
@@ -543,11 +535,9 @@ def unhinge(
                 raise NumericalFailureError("intertwiner is not unit-diagonal")
             s_mat = np.linalg.inv(y_mat)
             # verify: conjugation absorbs the block-diagonal algebra
-            moved = np.einsum(
-                "ab,ibc,cd->iad", y_mat, np.array(reduced.basis), s_mat
-            )
-            moved_space = subspace_from(list(moved), n=n, tol=reduced.tol)
-            resid = membership_residuals(moved_space, np.array(bd.basis))
+            moved = np.einsum("ab,ibc,cd->iad", y_mat, reduced.basis, s_mat)
+            moved_space = subspace_from(moved, n=n, tol=reduced.tol)
+            resid = membership_residuals(moved_space, bd.basis)
             if np.max(resid) > 1e-7:
                 raise NumericalFailureError(
                     f"unhinged span does not contain the block-diagonal part "
@@ -569,9 +559,9 @@ def wedderburn(alg: MatrixAlgebra, seed: int = 0) -> WedderburnData:
         unhinged = reduced
     else:
         s_inv = np.linalg.inv(s)
-        mats = [s_inv @ b @ s for b in reduced.basis]
         unhinged = MatrixAlgebra(
-            space=subspace_from(mats, n=alg.n, tol=alg.tol), unital=alg.unital
+            space=subspace_from(s_inv @ reduced.basis @ s, n=alg.n, tol=alg.tol),
+            unital=alg.unital,
         )
     rad = radical(unhinged)
     if bd.dim + rad.dim != unhinged.dim:

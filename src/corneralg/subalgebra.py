@@ -1,14 +1,14 @@
 """Matrix subspaces and multiplicatively closed subspaces of M_n.
 
-A MatrixSubspace stores a Frobenius-orthonormal basis; membership and closure
-questions reduce to least-squares residuals against the stacked, vectorized
-basis, which keeps the hot paths inside BLAS.
+A MatrixSubspace stores its Frobenius-orthonormal basis as one read-only
+(d, n, n) stack; membership and closure questions reduce to least-squares
+residuals against its (d, n*n) row view, and every map of a basis is one
+stacked product, which keeps the hot paths inside BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .matcore import (
     as_matrix,
     frob,
     orthonormal_span,
-    vec,
 )
 
 __all__ = [
@@ -41,34 +40,41 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MatrixSubspace:
-    """A linear subspace of M_n with an orthonormal basis (tuple of n x n arrays)."""
+    """A linear subspace of M_n with an orthonormal basis.
+
+    basis is given as a sequence of n x n matrices or a (d, n, n) stack and
+    kept as the subspace's own read-only complex (d, n, n) array.
+    """
 
     n: int
-    basis: tuple
+    basis: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL)
 
     def __post_init__(self) -> None:
-        for b in self.basis:
-            if b.shape != (self.n, self.n):
-                raise ShapeMismatchError(
-                    f"basis element of shape {b.shape} in M_{self.n} subspace"
-                )
+        try:
+            basis = np.array(self.basis, dtype=np.complex128)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"mixed shapes in an M_{self.n} basis: {exc}") from exc
+        if basis.shape == (0,):
+            basis = basis.reshape(0, self.n, self.n)
+        if basis.ndim != 3 or basis.shape[1:] != (self.n, self.n):
+            raise ShapeMismatchError(f"basis of shape {basis.shape} in M_{self.n} subspace")
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @property
     def vecs(self) -> np.ndarray:
-        """(dim, n*n) stack of vectorized basis elements (orthonormal rows)."""
-        if not self.basis:
-            return np.zeros((0, self.n * self.n), dtype=np.complex128)
-        return np.array([vec(b) for b in self.basis])
+        """(dim, n*n) view of the basis, one vectorized element a row (orthonormal rows)."""
+        return self.basis.reshape(self.dim, self.n * self.n)
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of x onto the subspace."""
         m = as_matrix(x)
-        coeffs = self.vecs @ vec(m).conj()
+        coeffs = self.vecs @ m.reshape(-1).conj()
         return np.asarray((coeffs.conj() @ self.vecs).reshape(self.n, self.n))
 
     def residual(self, x) -> float:
@@ -105,7 +111,7 @@ class MatrixAlgebra:
         return self.space.dim
 
     @property
-    def basis(self) -> tuple:
+    def basis(self) -> np.ndarray:
         return self.space.basis
 
     @property
@@ -114,15 +120,14 @@ class MatrixAlgebra:
 
 
 def subspace_from(
-    mats: Sequence, n: int | None = None, tol: Tolerance = DEFAULT_TOL
+    mats: Sequence | np.ndarray, n: int | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> MatrixSubspace:
-    mats = [as_matrix(m) for m in mats]
+    """The span of a sequence of n x n matrices or of an (m, n, n) stack."""
     if n is None:
-        if not mats:
+        if len(mats) == 0:
             raise ShapeMismatchError("cannot infer n from an empty generating set")
-        n = mats[0].shape[0]
-    basis = orthonormal_span(mats, tol=tol, shape=(n, n))
-    return MatrixSubspace(n=n, basis=tuple(basis), tol=tol)
+        n = as_matrix(mats[0]).shape[0]
+    return MatrixSubspace(n=n, basis=orthonormal_span(mats, tol=tol, shape=(n, n)), tol=tol)
 
 
 def membership_residuals(space: MatrixSubspace, stack: np.ndarray) -> np.ndarray:
@@ -137,7 +142,7 @@ def closure_defect(space: MatrixSubspace) -> float:
     """Largest relative residual of a pairwise basis product outside the span."""
     if space.dim == 0:
         return 0.0
-    b = np.array(space.basis)
+    b = space.basis
     prods = np.einsum("iab,jbc->ijac", b, b).reshape(-1, space.n, space.n)
     resid = membership_residuals(space, prods)
     norms = np.maximum(1.0, np.linalg.norm(prods.reshape(len(prods), -1), axis=1))
@@ -185,9 +190,9 @@ def generated_algebra(
     for _ in range(n * n + 1):
         if space.dim == 0:
             break
-        b = np.array(space.basis)
+        b = space.basis
         prods = np.einsum("iab,jbc->ijac", b, b).reshape(-1, n, n)
-        grown = subspace_from(list(space.basis) + list(prods), n=n, tol=tol)
+        grown = subspace_from(np.concatenate([b, prods]), n=n, tol=tol)
         if grown.dim == space.dim:
             break
         space = grown
@@ -199,9 +204,7 @@ def unitize(alg: MatrixAlgebra) -> MatrixAlgebra:
     """Adjoin the identity (no-op when already unital)."""
     if alg.unital:
         return alg
-    space = subspace_from(
-        [np.eye(alg.n, dtype=np.complex128)] + list(alg.basis), n=alg.n, tol=alg.tol
-    )
+    space = subspace_from(np.concatenate([np.eye(alg.n)[None], alg.basis]), n=alg.n, tol=alg.tol)
     _check_closed(space)
     return MatrixAlgebra(space=space, unital=True)
 
@@ -213,7 +216,7 @@ def compress(alg: MatrixAlgebra, e) -> MatrixSubspace:
         raise ShapeMismatchError("corner element has wrong shape")
     if frob(e @ e - e) > alg.tol.rel_eps * max(1.0, frob(e) ** 2):
         raise ValueError("corner element is not idempotent")
-    return subspace_from([e @ b @ e for b in alg.basis], n=alg.n, tol=alg.tol)
+    return subspace_from(e @ alg.basis @ e, n=alg.n, tol=alg.tol)
 
 
 def conjugate(alg: MatrixAlgebra, s) -> MatrixAlgebra:
@@ -225,7 +228,7 @@ def conjugate(alg: MatrixAlgebra, s) -> MatrixAlgebra:
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalFailureError(f"similarity is numerically singular (cond {cond:.3e})")
     s_inv = np.linalg.inv(s)
-    space = subspace_from([s_inv @ b @ s for b in alg.basis], n=alg.n, tol=alg.tol)
+    space = subspace_from(s_inv @ alg.basis @ s, n=alg.n, tol=alg.tol)
     if space.dim != alg.dim:
         raise NumericalFailureError("similarity transport changed the dimension")
     return MatrixAlgebra(space=space, unital=alg.unital)
@@ -237,12 +240,11 @@ def transpose_variant(alg: MatrixAlgebra, kind: str) -> MatrixAlgebra:
     Both maps are linear anti-automorphisms of M_n, so the image of an algebra
     is an algebra of the same dimension.
     """
-    if kind == "transpose":
-        mats = [b.T for b in alg.basis]
-    elif kind == "anti":
-        j = np.fliplr(np.eye(alg.n))
-        mats = [j @ b.T @ j for b in alg.basis]
-    else:
+    if kind not in ("transpose", "anti"):
         raise ValueError(f"unknown transpose kind {kind!r}")
+    mats = alg.basis.transpose(0, 2, 1)
+    if kind == "anti":
+        j = np.fliplr(np.eye(alg.n))
+        mats = j @ mats @ j
     space = subspace_from(mats, n=alg.n, tol=alg.tol)
     return MatrixAlgebra(space=space, unital=alg.unital)

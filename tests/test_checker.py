@@ -387,7 +387,7 @@ def test_trial_factors_match_the_kernel_run_without_them(mode):
     for t0, bsz in windows + windows:  # cold, then warm
         es, svd, _ = _sample_batch(n, mode, 7, t0, bsz)
         for alg in algs:
-            _assert_kernel_factors_match_fresh(checker._basis_stack(alg), es, alg.tol, svd)
+            _assert_kernel_factors_match_fresh(alg.basis, es, alg.tol, svd)
 
 
 def _reference_catalog_batches(n, u):
@@ -441,10 +441,12 @@ def test_catalog_factors_match_the_kernel_run_without_them(monkeypatch, flag):
     assert all(np.all(rel > VIOLATION_RESIDUAL) for _, rel in batches)
 
 
-def test_the_catalog_is_independent_of_the_seed():
-    # the catalog draws nothing: given the flag frame, a seed moves only the trials
+@pytest.mark.parametrize("given", [True, False], ids=["struct", "no-struct"])
+def test_the_catalog_is_independent_of_the_seed(given):
+    # the catalog draws nothing: a seed moves only the trials, whether the flag
+    # frame is given or the check triangularizes for it
     alg = random_instance(make_family("DIAGONAL", 5), "similarity", seed=6)
-    struct = triangularize(alg)
+    struct = triangularize(alg) if given else None
     reports = [_fields(check_compressible(alg, trials=0, seed=seed, stop_on_violation=False,
                                           struct=struct))
                for seed in (0, 1, 2)]

@@ -3,7 +3,8 @@ rank_eps_factor turned into a rank cutoff only in matcore, one span equality
 decision and one scalar-group scan in the classifier, single corners tested
 only by certify, trials drawn only by the block cache, and no SVD in the
 checker outside trial blocks and the corner kernel, and no random draw in the
-checker outside the trial sampler. Also: the package imports
+checker outside the trial sampler, and one basis representation: a basis is
+never re-stacked or split into a list. Also: the package imports
 no scipy and no third-party module that pyproject does not declare, and a
 classify request that builds Riesz projections leaves scipy unloaded."""
 
@@ -166,6 +167,29 @@ def test_checker_draws_randomness_only_in_the_trial_sampler():
              for where, line in calls if where != "_draw_trials"]
     assert not stray, f"random draws outside _draw_trials: {stray}"
     assert any(where == "_draw_trials" for where, _ in calls)
+
+
+# where a given basis is coerced into the subspace's own read-only stack
+BASIS_COERCERS = {("subalgebra", "MatrixSubspace.__post_init__")}
+
+
+def _rebuilds_a_basis(node):
+    """np.array, np.asarray, list or tuple called on a .basis attribute."""
+    return _calls_any({"array", "asarray", "list", "tuple"})(node) and any(
+        isinstance(arg, ast.Attribute) and arg.attr == "basis" for arg in node.args)
+
+
+def test_one_basis_representation():
+    # a basis is one (d, n, n) stack: every caller uses it as it is
+    stray = [f"{path.name}:{line} in {where or '<module>'}" for path in MODULES
+             for where, line in _found(path, _rebuilds_a_basis)
+             if (path.stem, where) not in BASIS_COERCERS]
+    assert not stray, f"a basis re-stacked or listed: {stray}"
+    gone = {"vec", "unvec", "_basis_stack", "_stack"}
+    defined = [f"{path.name}:{node.lineno} {node.name}" for path in MODULES
+               for node in ast.walk(_tree(path))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in gone]
+    assert not defined, f"second basis formats defined: {defined}"
 
 
 def _calls_np_linalg(name):

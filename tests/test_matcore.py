@@ -18,8 +18,6 @@ from corneralg.matcore import (
     random_similarity,
     rank_tol,
     svd_factor,
-    unvec,
-    vec,
 )
 
 
@@ -38,13 +36,6 @@ def test_tolerance_validation():
             Tolerance(rel_eps=bad)
         with pytest.raises(ValueError):
             Tolerance(rank_eps_factor=bad)
-
-
-def test_vec_unvec_row_major_round_trip():
-    m = np.arange(12).reshape(3, 4).astype(np.complex128)
-    v = vec(m)
-    assert v[4] == m[1, 0]  # row-major layout
-    assert np.array_equal(unvec(v, 3, 4), m)
 
 
 def test_svd_factor_reconstructs():
@@ -109,7 +100,7 @@ def test_orthonormal_span_is_orthonormal_and_spans():
     mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(6)]
     basis = orthonormal_span(mats)
     assert len(basis) == 6
-    stack = np.array([vec(b) for b in basis])
+    stack = basis.reshape(len(basis), -1)
     assert np.allclose(stack @ stack.conj().T, np.eye(6), atol=1e-10)
     # each input is recovered by its Frobenius expansion <m, b> = Tr(b* m)
     for m in mats:
@@ -118,11 +109,14 @@ def test_orthonormal_span_is_orthonormal_and_spans():
 
 
 def test_orthonormal_span_empty_and_shape_checks():
-    assert orthonormal_span([]) == []
+    assert orthonormal_span([]).shape == (0, 0, 0)
+    assert orthonormal_span([], shape=(3, 3)).shape == (0, 3, 3)
     with pytest.raises(ShapeMismatchError):
         orthonormal_span([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeMismatchError):
         orthonormal_span([np.eye(2)], shape=(3, 3))
+    with pytest.raises(ShapeMismatchError):
+        orthonormal_span(np.eye(3))  # a 2-d input is not a stack of matrices
 
 
 def test_orthonormal_span_deterministic():
@@ -132,6 +126,46 @@ def test_orthonormal_span_deterministic():
     b2 = orthonormal_span([m.copy() for m in mats])
     for x, y in zip(b1, b2):
         assert np.array_equal(x, y)
+
+
+def _phase_fix_reference(rows):
+    """The row loop orthonormal_span used before it returned one stack."""
+    out = rows.copy()
+    for i in range(out.shape[0]):
+        j = int(np.argmax(np.abs(out[i])))
+        a = out[i, j]
+        if abs(a) > 0:
+            out[i] *= abs(a) / a
+    return out
+
+
+def _orthonormal_span_reference(mats, tol=DEFAULT_TOL):
+    """The list-returning orthonormal_span it replaced, kept as the reference."""
+    mats = [as_matrix(m) for m in mats]
+    if not mats:
+        return []
+    r, c = mats[0].shape
+    stack = np.array([m.reshape(-1) for m in mats])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    basis = _phase_fix_reference(vh[:numerical_rank(s, tol)])
+    return [row.reshape(r, c) for row in basis]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_orthonormal_span_stack_equals_the_list_reference_bitwise(n):
+    rng = np.random.default_rng([41, n])
+    for kind in ("real", "complex", "deficient"):
+        for m in (1, n, n * n + 2):
+            x = rng.standard_normal((m, n, n))
+            if kind != "real":
+                x = x + 1j * rng.standard_normal((m, n, n))
+            if kind == "deficient":
+                x = np.einsum("ij,jab->iab", rng.standard_normal((m, max(1, m // 2))),
+                              x[:max(1, m // 2)])
+            want = np.array(_orthonormal_span_reference(list(x)))
+            for given in (list(x), x):
+                got = orthonormal_span(given)
+                assert got.shape == want.shape and np.array_equal(got, want), (kind, m)
 
 
 @settings(max_examples=25, deadline=None)

@@ -311,6 +311,16 @@ def test_support_columns_col_and_row():
         support_columns(mats, "diag")
 
 
+def test_support_columns_of_a_stack_equals_it_of_the_list():
+    rng = np.random.default_rng(23)
+    stack = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    for side in ("col", "row"):
+        assert np.array_equal(support_columns(stack, side), support_columns(list(stack), side))
+    for empty in ([], np.zeros((0, 3, 4))):
+        with pytest.raises(ValueError, match="empty family"):
+            support_columns(empty, "col")
+
+
 # ---------------------------------------------------------------- Riesz projection
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from corneralg.matcore import NumericalFailureError
+from corneralg.matcore import NumericalFailureError, ShapeMismatchError
 from corneralg.subalgebra import (
+    MatrixSubspace,
     algebra_from_span,
     closure_defect,
     compress,
@@ -30,6 +31,41 @@ def test_subspace_membership():
     assert ok and r < 1e-10
     ok, r = s.contains(eij(3, 1, 0))
     assert not ok and r > 0.9
+
+
+def test_subspace_from_a_list_equals_it_from_a_stack_bitwise():
+    rng = np.random.default_rng(17)
+    for n, m in ((2, 3), (4, 10), (5, 30)):
+        stack = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        a, b = subspace_from(list(stack)), subspace_from(stack)
+        assert a.basis.shape == b.basis.shape and np.array_equal(a.basis, b.basis)
+
+
+def test_basis_is_one_read_only_stack():
+    s = subspace_from([np.eye(3), eij(3, 0, 1)])
+    assert s.basis.shape == (2, 3, 3) and s.basis.dtype == np.complex128
+    assert s.vecs.shape == (2, 9) and np.shares_memory(s.vecs, s.basis)
+    with pytest.raises(ValueError):
+        s.basis[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        s.vecs[0, 0] = 2.0
+    assert subspace_from([], n=3).basis.shape == (0, 3, 3)
+    assert subspace_from([np.zeros((3, 3))]).basis.shape == (0, 3, 3)
+
+
+def test_matrix_subspace_accepts_a_tuple_a_list_or_a_stack():
+    stack = subspace_from([np.eye(3), eij(3, 0, 1)]).basis
+    for given in (tuple(stack), list(stack), stack):
+        s = MatrixSubspace(n=3, basis=given)
+        assert np.array_equal(s.basis, stack) and not s.basis.flags.writeable
+    # the subspace keeps its own array: the caller's stays writeable and apart
+    mine = stack.copy()
+    s = MatrixSubspace(n=3, basis=mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, s.basis)
+    assert MatrixSubspace(n=3, basis=()).basis.shape == (0, 3, 3)
+    for bad in ([np.eye(2)], [np.eye(3), np.eye(2)], np.eye(3), np.zeros((0, 2, 2))):
+        with pytest.raises(ShapeMismatchError):
+            MatrixSubspace(n=3, basis=bad)
 
 
 def test_projection_is_idempotent_and_orthogonal():

@@ -20,6 +20,7 @@ from .matcore import (
     ShapeMismatchError,
     Tolerance,
     as_matrix,
+    full_rank_shifts,
     numerical_ranks,
 )
 from .subalgebra import MatrixAlgebra, closure_defect, subspace_from
@@ -149,6 +150,62 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->bi", f, f))
 
 
+def _positive_definite(g: np.ndarray) -> np.ndarray:
+    """Whether the Cholesky factorization of each Hermitian matrix of a
+    (m, p, p) stack completes; its lower triangle is read.
+
+    numpy's Cholesky gufunc writes NaN over a matrix it cannot factor, where
+    np.linalg.cholesky raises for the whole stack. An empty matrix passes.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+        low = np.linalg._umath_linalg.cholesky_lo(g)
+    return ~np.isnan(low.reshape(len(low), -1)).any(axis=1)
+
+
+def _residuals_by_products(dlay: np.ndarray, clay: np.ndarray, comp: np.ndarray):
+    """Distance of every product D_a C_b from the span, and its scale.
+
+    dlay[:, (i, a), l] = D_a[i, l]; clay[:, i, a, j] = C_a[i, j]; comp: (m, t, k^2)
+    orthonormal rows spanning each corner's complement in M_k, or zero rows.
+    Returns the (m, d^2) norms of each product's coordinates on comp, and
+    max(1, |D_a C_b|_F), with pairs (a, b) in row-major order.
+    """
+    m, k, d, _ = clay.shape
+    # prods[:, (i, a), (b, j)] = (D_a C_b)[i, j], one GEMM per corner
+    prods = dlay @ clay.reshape(m, k, d * k)
+    pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, k * k)
+    del prods
+    scale = np.maximum(1.0, _row_norms(pvec))
+    return _row_norms(pvec @ comp.conj().transpose(0, 2, 1)), scale
+
+
+def _residuals_by_contraction(dlay: np.ndarray, clay: np.ndarray, comp: np.ndarray):
+    """_residuals_by_products without forming the products.
+
+    A complement row W gives <D_a C_b, W> = sum_{i,l} D_a[i, l] (C_b W*)[l, i]:
+    one GEMM forms every C_b W*, a second contracts it with the D_a. The norm
+    is |D_a C_b|_F^2 = tr(D_a* D_a C_b C_b*), the Frobenius inner product of
+    the two Hermitian k x k Gram matrices. The kernel takes this path when
+    2 t < d: a corner's C_b W* then hold d t k^2 entries, against the d^2 k^2
+    of its products.
+    """
+    m, k, d, _ = clay.shape
+    t, kk = comp.shape[1], k * k
+    # wh[:, j, (w, i)] = conj W_w[i, j]; cw[:, (l, b), (w, i)] = (C_b W_w*)[l, i]
+    wh = comp.conj().reshape(m, t, k, k).transpose(0, 3, 1, 2).reshape(m, k, t * k)
+    cw = clay.reshape(m, k * d, k) @ wh
+    cw = cw.reshape(m, k, d, t, k).transpose(0, 4, 1, 2, 3).reshape(m, kk, d * t)
+    # da[:, a, i, l] = D_a[i, l]; ca[:, b, l, j] = C_b[l, j]
+    da = dlay.reshape(m, k, d, k).transpose(0, 2, 1, 3)
+    ca = clay.transpose(0, 2, 1, 3)
+    coords = da.reshape(m, d, kk) @ cw
+    resid = _row_norms(coords.reshape(m, d * d, t))
+    dgram = (da.conj().transpose(0, 1, 3, 2) @ da).reshape(m, d, kk)
+    cgram = (ca @ ca.conj().transpose(0, 1, 3, 2)).reshape(m, d, kk)
+    sq = (dgram @ cgram.conj().transpose(0, 2, 1)).real
+    return resid, np.sqrt(np.maximum(1.0, sq)).reshape(m, d * d)
+
+
 def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, svd=None):
     """Worst relative closure residual of each corner E_b A E_b.
 
@@ -162,14 +219,21 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, sv
     Each corner is tested in its own k x k frame, k = rank E. With the
     compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
     M -> U M V* is a Frobenius isometry, so the span, its rank and every
-    relative residual are those of the C_a. A corner whose span has rank
-    k^2 is all of M_k, an algebra: residual 0 with no products formed. For
-    the others, as E is idempotent, the product (E a E)(E b E) = E a E b E
-    maps to D_a C_b with D_a = S V* a U, the d^2 products of one corner are
-    one (dk x k)(k x dk) GEMM, and a product's distance from the span is the
-    norm of its coordinates on the right singular vectors of the C_a stack
-    past the span's rank. The ranks of E and of the corner span are
-    matcore.numerical_ranks.
+    relative residual are those of the C_a. As E is idempotent, the product
+    (E a E)(E b E) = E a E b E maps to D_a C_b with D_a = S V* a U.
+
+    The span's rank is certified before anything is factored: for the (d, k^2)
+    matrix C of the vec C_a, the smaller Gram matrix G (C C* when d < k^2,
+    else C* C) less matcore.full_rank_shifts times I is tested for positive
+    definiteness by Cholesky. A certified corner has rank min(d, k^2), as
+    matcore.numerical_ranks would find. With d >= k^2 it spans all of M_k, an
+    algebra: residual 0, no factorization and no products. With d < k^2 the
+    last k^2 - d columns of the complete QR of C* span the complement. Every
+    other corner is ranked by the SVD of C, whose right singular vectors past
+    the rank span the complement. A product's distance from the span is the
+    norm of its coordinates on the complement: through the contraction when
+    the complement is narrow (2 t < d for width t), else through the d^2
+    products, one (dk x k)(k x dk) GEMM per corner.
     """
     bsz, n, _ = es.shape
     d = basis.shape[0]
@@ -190,31 +254,37 @@ def _corner_residual_batch(basis: np.ndarray, es: np.ndarray, tol: Tolerance, sv
         # dlay[:, (i, a), l] = D_a[i, l]; clay[:, i, a, j] = C_a[i, j]
         dlay = svab.reshape(m, k * d, n) @ u[sel, :, :k]
         clay = dlay.reshape(m, k, d, k) * sk[:, None, None, :]
-        # the complement of the span needs all k^2 right singular vectors
-        _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, kk),
-                                   full_matrices=d < kk)
-        r = numerical_ranks(cs, tol)
+        c = clay.transpose(0, 2, 1, 3).reshape(m, d, kk)
+        ch = c.conj().transpose(0, 2, 1)
+        g = c @ ch if d < kk else ch @ c
+        diag = np.arange(g.shape[1])
+        g[:, diag, diag] -= full_rank_shifts(g[:, diag, diag].real.sum(axis=1), tol)[:, None]
+        sure = _positive_definite(g)
+        r = np.full(m, min(d, kk))
+        # rows of cvh past a corner's rank span the complement of its span
+        cvh = np.zeros((m, kk, kk), dtype=np.complex128)
+        if d < kk and sure.any():
+            q, _ = np.linalg.qr(ch[sure], mode="complete")
+            cvh[sure, d:] = q[:, :, d:].conj().transpose(0, 2, 1)
+        if not sure.all():
+            _, cs, cvh[~sure] = np.linalg.svd(c[~sure], full_matrices=d < kk)
+            r[~sure] = numerical_ranks(cs, tol)
         dims[sel] = r
-        if d >= kk:
-            # d matrices span all of M_k only if d >= k^2
-            full = np.count_nonzero(r == kk)
-            if full == m:
-                continue
-            if full:
-                keep = r < kk
-                sel = np.arange(bsz)[sel][keep]
-                dlay, clay, cvh, r = dlay[keep], clay[keep], cvh[keep], r[keep]
-                m = len(r)
+        # a span of rank k^2 is all of M_k, closed
+        keep = r < kk
+        if not keep.any():
+            continue
+        if not keep.all():
+            sel = np.arange(bsz)[sel][keep]
+            dlay, clay, cvh, r = dlay[keep], clay[keep], cvh[keep], r[keep]
         # rows lo..k^2 of cvh, with those in a corner's own span zeroed
         lo = r.min()
         comp = cvh[:, lo:]
         if r.max() > lo:
             comp = comp * (np.arange(lo, kk) >= r[:, None])[:, :, None]
-        # prods[:, (i, a), (b, j)] = (D_a C_b)[i, j], one GEMM per corner
-        prods = dlay @ clay.reshape(m, k, d * k)
-        pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, kk)
-        scale = np.maximum(1.0, _row_norms(pvec))
-        resid = _row_norms(pvec @ comp.conj().transpose(0, 2, 1))
+        narrow = 2 * (kk - lo) < d
+        resid, scale = (_residuals_by_contraction if narrow else _residuals_by_products)(
+            dlay, clay, comp)
         rel[sel] = (resid / scale).max(axis=1)
     return rel, dims
 
@@ -369,8 +439,13 @@ def check_compressible(
     to drawing and factoring afresh. The catalog draws nothing: its corners
     depend on the algebra and the flag unitary alone, and are built on every
     check with the closed-form factors of _catalog_pass; their residuals
-    agree with factoring them by np.linalg.svd to about 1e-14. A report's
-    witnesses are copies, never views of a block or a batch.
+    agree with factoring them by np.linalg.svd to about 1e-14. The kernel
+    certifies a corner span's full rank by Cholesky of its Gram matrix before
+    factoring it: a certified corner that spans M_k is closed with no SVD,
+    and a thin one takes its complement from a QR factorization. Residuals
+    of corners whose complement is narrow are contracted, not formed from
+    the d^2 products; see _corner_residual_batch. A report's witnesses are
+    copies, never views of a block or a batch.
     """
     if mode not in ("projection", "idempotent"):
         raise ValueError(f"unknown mode {mode!r}")

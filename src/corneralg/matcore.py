@@ -24,6 +24,7 @@ __all__ = [
     "svd_factor",
     "numerical_rank",
     "numerical_ranks",
+    "full_rank_shifts",
     "rank_tol",
     "orthonormal_span",
     "haar_unitary",
@@ -113,6 +114,22 @@ def numerical_rank(s: np.ndarray, tol: Tolerance) -> int:
 def numerical_ranks(s: np.ndarray, tol: Tolerance) -> np.ndarray:
     """numerical_rank of each row of a (B, k) stack of descending singular values."""
     return (s > np.maximum(tol.rank_eps_factor * s[:, :1], _RANK_FLOOR)).sum(axis=1)
+
+
+def full_rank_shifts(trace: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Shift t of each Gram matrix G = X X* (or X* X) of trace `trace` such that
+    G - t I positive definite certifies numerical_rank(X) = min(X.shape).
+
+    t = max(delta tr G, (2 floor)^2) with delta = max(1e-6, (1e3 rank_eps_factor)^2).
+    A positive definite G - t I gives sigma_min^2 > delta tr G >= delta sigma_max^2,
+    so sigma_min / sigma_max > max(1e-3, 1e3 rank_eps_factor), three orders of
+    magnitude above the relative cutoff, and sigma_min > 2 floor. A
+    Cholesky factorization that completes is backward stable to about
+    p^2 eps tr G for p x p matrices (Higham 2002, ch. 10), far inside both
+    margins, so an SVD of X ranks X full as well.
+    """
+    delta = max(1e-6, (1e3 * tol.rank_eps_factor) ** 2)
+    return np.maximum(delta * trace, (2 * _RANK_FLOOR) ** 2)
 
 
 def rank_tol(x, tol: Tolerance = DEFAULT_TOL) -> int:

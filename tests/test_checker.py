@@ -24,7 +24,15 @@ from corneralg.checker import (
     witness_catalog,
 )
 from corneralg.families import make_family, random_instance
-from corneralg.matcore import _RANK_FLOOR, ShapeMismatchError, haar_unitary
+from corneralg.checker import _row_norms
+from corneralg.matcore import (
+    _RANK_FLOOR,
+    ShapeMismatchError,
+    Tolerance,
+    full_rank_shifts,
+    haar_unitary,
+    numerical_ranks,
+)
 from corneralg.structure import triangularize
 from corneralg.subalgebra import algebra_from_span, generated_algebra
 
@@ -666,6 +674,279 @@ def test_corner_kernel_open_corner_with_fewer_generators_than_k_squared():
     assert np.linalg.matrix_rank(es[0]) == 5
     rel, rank = _assert_kernel_matches_reference(alg, es)
     assert rank[0] == 6 and rel[0] > VIOLATION_RESIDUAL
+
+
+# ------------------------------------------------ rank certificate, contraction
+
+
+def _previous_corner_kernel(basis: np.ndarray, es: np.ndarray, tol, svd=None):
+    """Worst relative closure residual of each corner E_b A E_b.
+
+    basis: (d, n, n) orthonormal algebra basis; es: (B, n, n) idempotents;
+    svd: their factors (u, s, vh), E = U S V* with orthonormal columns in U
+    and V and s descending, of which the first rank E are read: the trial
+    blocks' np.linalg.svd(es), or a catalog corner's closed form (x, 1, x*).
+    Computed here when not given, as for single corners. Returns (max
+    relative residual, corner dimension) per idempotent.
+
+    Each corner is tested in its own k x k frame, k = rank E. With the
+    compact SVD E = U S V*, E a E = U C_a V* for C_a = S V* a U S, and
+    M -> U M V* is a Frobenius isometry, so the span, its rank and every
+    relative residual are those of the C_a. A corner whose span has rank
+    k^2 is all of M_k, an algebra: residual 0 with no products formed. For
+    the others, as E is idempotent, the product (E a E)(E b E) = E a E b E
+    maps to D_a C_b with D_a = S V* a U, the d^2 products of one corner are
+    one (dk x k)(k x dk) GEMM, and a product's distance from the span is the
+    norm of its coordinates on the right singular vectors of the C_a stack
+    past the span's rank. The ranks of E and of the corner span are
+    matcore.numerical_ranks.
+    """
+    bsz, n, _ = es.shape
+    d = basis.shape[0]
+    u, s, vh = np.linalg.svd(es) if svd is None else svd
+    ranks = numerical_ranks(s, tol)
+    rel = np.zeros(bsz)
+    dims = np.zeros(bsz, dtype=np.intp)
+    # bt[p, (a, q)] = a[p, q]: then S V* a U for every a is two plain GEMMs
+    bt = basis.transpose(1, 0, 2).reshape(n, d * n)
+    groups = set(ranks.tolist())
+    for k in groups - {0}:
+        kk = k * k
+        # a catalog batch or a single corner has one rank: no gather needed
+        sel = slice(None) if len(groups) == 1 else ranks == k
+        sk = s[sel, :k]
+        svab = (sk[:, :, None] * vh[sel, :k]) @ bt
+        m = svab.shape[0]
+        # dlay[:, (i, a), l] = D_a[i, l]; clay[:, i, a, j] = C_a[i, j]
+        dlay = svab.reshape(m, k * d, n) @ u[sel, :, :k]
+        clay = dlay.reshape(m, k, d, k) * sk[:, None, None, :]
+        # the complement of the span needs all k^2 right singular vectors
+        _, cs, cvh = np.linalg.svd(clay.transpose(0, 2, 1, 3).reshape(m, d, kk),
+                                   full_matrices=d < kk)
+        r = numerical_ranks(cs, tol)
+        dims[sel] = r
+        if d >= kk:
+            # d matrices span all of M_k only if d >= k^2
+            full = np.count_nonzero(r == kk)
+            if full == m:
+                continue
+            if full:
+                keep = r < kk
+                sel = np.arange(bsz)[sel][keep]
+                dlay, clay, cvh, r = dlay[keep], clay[keep], cvh[keep], r[keep]
+                m = len(r)
+        # rows lo..k^2 of cvh, with those in a corner's own span zeroed
+        lo = r.min()
+        comp = cvh[:, lo:]
+        if r.max() > lo:
+            comp = comp * (np.arange(lo, kk) >= r[:, None])[:, :, None]
+        # prods[:, (i, a), (b, j)] = (D_a C_b)[i, j], one GEMM per corner
+        prods = dlay @ clay.reshape(m, k, d * k)
+        pvec = prods.reshape(m, k, d, d, k).transpose(0, 2, 3, 1, 4).reshape(m, d * d, kk)
+        scale = np.maximum(1.0, _row_norms(pvec))
+        resid = _row_norms(pvec @ comp.conj().transpose(0, 2, 1))
+        rel[sel] = (resid / scale).max(axis=1)
+    return rel, dims
+
+
+def _assert_kernel_matches_previous(basis, es, tol, svd=None, kernel=_corner_residual_batch):
+    """The kernel against the one that ranked every corner by SVD and formed
+    every product: dims bitwise, full corners exactly 0 on both, residuals to
+    1e-14 and the same pass / indeterminate / violation band."""
+    rel, dims = kernel(basis, es, tol, svd)
+    old_rel, old_dims = _previous_corner_kernel(basis, es, tol, svd)
+    assert np.array_equal(dims, old_dims)
+    s = np.linalg.svd(es, compute_uv=False) if svd is None else svd[1]
+    k = numerical_ranks(s, tol)
+    full = (dims == k * k) | (k == 0)
+    assert np.all(rel[full] == 0.0) and np.all(old_rel[full] == 0.0)
+    assert np.max(np.abs(rel - old_rel), initial=0.0) <= 1e-14
+    assert np.array_equal(_band(rel), _band(old_rel))
+    return rel, dims
+
+
+def _paths(monkeypatch, kernel):
+    """kernel, counting the span paths it takes (certified full corners,
+    certified thin corners by QR, SVD) and its residual paths (contraction,
+    products)."""
+    seen = {"full": 0, "qr": 0, "svd": 0, "contraction": 0, "products": 0}
+    inside = []
+
+    def count(key, fn):
+        def wrapped(*args, **kw):
+            seen[key] += bool(inside)
+            return fn(*args, **kw)
+        return wrapped
+
+    def full(g):
+        # G is k^2 x k^2 when d >= k^2, else d x d: a G smaller than d is C* C
+        sure = pd(g)
+        if inside and g.shape[1] < inside[-1]:
+            seen["full"] += int(np.count_nonzero(sure))
+        return sure
+
+    def counted(basis, es, tol, svd=None):
+        inside.append(basis.shape[0])
+        try:
+            return kernel(basis, es, tol, svd)
+        finally:
+            inside.pop()
+
+    pd = checker._positive_definite
+    monkeypatch.setattr(checker, "_positive_definite", full)
+    monkeypatch.setattr(checker.np.linalg, "qr", count("qr", np.linalg.qr))
+    monkeypatch.setattr(checker.np.linalg, "svd", count("svd", np.linalg.svd))
+    for key, name in (("contraction", "_residuals_by_contraction"),
+                      ("products", "_residuals_by_products")):
+        monkeypatch.setattr(checker, name, count(key, getattr(checker, name)))
+    return counted, seen
+
+
+def _equivalence_algebras():
+    def lr(ranks, overlap):
+        return random_instance(make_family("LR_UNITAL", 6, ranks=ranks, overlap=overlap),
+                               "similarity", seed=3)
+
+    return [
+        random_instance(make_family("EX1", 6, ranks=(2, 2, 2)), "similarity", seed=2),
+        lr((4, 6), 4),
+        random_instance(make_family("AT", 6, t=2.0), "unitary", seed=5),
+        lr((4, 2), 2),
+        two_jordan_cells(),
+        generated_algebra([np.random.default_rng(0).standard_normal((6, 6))]),
+    ]
+
+
+def test_corner_kernel_matches_the_previous_kernel(monkeypatch):
+    # trial batches in both modes as check_compressible cuts them, and every
+    # catalog batch; together they take every span and residual path
+    algs = _equivalence_algebras()
+    assert [a.dim for a in algs] == [18, 25, 11, 9, 4, 6]
+    kernel = checker._corner_residual_batch
+    counted, seen = _paths(monkeypatch, kernel)
+    calls = []
+
+    def compare(basis, es, tol, svd=None):
+        calls.append(len(es))
+        return _assert_kernel_matches_previous(basis, es, tol, svd, counted)
+
+    monkeypatch.setattr(checker, "_corner_residual_batch", compare)
+    for alg in algs:
+        for mode in ("idempotent", "projection"):
+            check_compressible(alg, mode, trials=240, seed=11, use_catalog=False,
+                               stop_on_violation=False)
+        checker._catalog_pass(alg, triangularize(alg).u if alg.unital else None, [], False)
+    monkeypatch.setattr(checker, "_corner_residual_batch", kernel)
+    assert len(calls) > 6 * 9 and sum(calls) > 6 * 480
+    assert all(seen[key] > 0 for key in seen), seen
+
+
+def _zero_then_trial_corners(n):
+    """E = 0, 20 idempotent-mode trials, then 20 projections."""
+    return np.concatenate([np.zeros((1, n, n), dtype=np.complex128)]
+                          + [_sample_batch(n, mode, seed=2, t0=0, bsz=20)[0]
+                             for mode in ("idempotent", "projection")])
+
+
+@pytest.mark.parametrize("factor", [1e-12, 0.6])
+@pytest.mark.parametrize("scale", [1.0, 1e-14])
+def test_the_rank_certificate_follows_the_rank_policy(factor, scale):
+    # dims equal those of the SVD-only kernel at a tight and a loose rank
+    # cutoff, on corners above and below the absolute floor, with E = 0
+    tol = Tolerance(rank_eps_factor=factor)
+    for alg in _equivalence_algebras()[:3] + _equivalence_algebras()[5:]:
+        es = _zero_then_trial_corners(alg.n)
+        rel, dims = _assert_kernel_matches_previous(alg.basis * scale, es, tol)
+        assert dims[0] == 0 and rel[0] == 0.0
+        # a projection's C_a have norm at most 1e-14: the stack is below the floor
+        assert np.all(dims[21:] == 0) == (scale < 1.0)
+
+
+def test_a_certified_gram_matrix_ranks_full_under_numerical_ranks():
+    # X with sigma_min / sigma_max swept across the certificate's margin: a
+    # certified X is one numerical_ranks ranks min(shape), at every cutoff
+    rng = np.random.default_rng(7)
+    ratios = np.geomspace(1e-7, 1.0, 60)
+    certified = 0
+    for factor in (1e-12, 1e-9, 1e-5, 0.6):
+        tol = Tolerance(rank_eps_factor=factor)
+        for rows, cols in ((4, 9), (9, 9), (16, 9)):
+            p = min(rows, cols)
+            u = np.array([haar_unitary(rows, rng)[:, :p] for _ in ratios])
+            v = np.array([haar_unitary(cols, rng)[:p] for _ in ratios])
+            for size in (1.0, 1e-12, 1e-14):
+                s = size * np.geomspace(1.0, ratios, p, axis=-1)
+                x = (u * s[:, None, :]) @ v
+                xh = x.conj().transpose(0, 2, 1)
+                g = x @ xh if rows < cols else xh @ x
+                diag = np.arange(p)
+                g[:, diag, diag] -= full_rank_shifts(g[:, diag, diag].real.sum(axis=1),
+                                                     tol)[:, None]
+                sure = checker._positive_definite(g)
+                ranked = numerical_ranks(np.linalg.svd(x, compute_uv=False), tol)
+                assert np.all(ranked[sure] == p)
+                certified += int(np.count_nonzero(sure))
+    assert certified > 0
+
+
+def test_positive_definite_marks_each_failing_matrix():
+    rng = np.random.default_rng(3)
+    p = 6
+    x = rng.standard_normal((40, p, p)) + 1j * rng.standard_normal((40, p, p))
+    positive = x @ x.conj().transpose(0, 2, 1) + 0.1 * np.eye(p)
+    h = x + x.conj().transpose(0, 2, 1)
+    indefinite = h[np.linalg.eigvalsh(h)[:, 0] < 0][:10]
+    # exactly singular: a zero row and column, so a zero pivot, at each place
+    singular = positive[:10].copy()
+    for i, m in enumerate(singular):
+        m[i % p, :] = m[:, i % p] = 0.0
+    g = np.concatenate([positive[:10], indefinite, singular, positive[10:]])
+    sure = checker._positive_definite(g)
+    with np.errstate(invalid="ignore"):
+        low = np.linalg._umath_linalg.cholesky_lo(g)
+    failed = np.isnan(low)
+    assert np.array_equal(failed.all(axis=(1, 2)), failed.any(axis=(1, 2)))
+    assert np.array_equal(sure, ~failed.any(axis=(1, 2)))
+    assert np.array_equal(sure, [True] * 10 + [False] * 20 + [True] * 30)
+    # eigvalsh puts a zero eigenvalue within rounding of 0, on either side
+    lam = np.linalg.eigvalsh(g)
+    regular = np.r_[0:20, 30:60]
+    assert np.array_equal(sure[regular], lam[regular, 0] > 0)
+    assert np.array_equal(sure, lam[:, 0] > 1e-12 * lam[:, -1])
+    assert np.all(np.abs(lam[20:30, 0]) <= 1e-12 * lam[20:30, -1])
+    assert checker._positive_definite(np.zeros((3, 0, 0), dtype=np.complex128)).tolist() == [
+        True] * 3
+
+
+@pytest.mark.parametrize("k,d,t", [(2, 5, 1), (3, 7, 3), (4, 9, 4), (5, 25, 4), (3, 4, 6)])
+def test_the_contraction_equals_the_explicit_products(k, d, t):
+    # random complex D_a, C_b with |D_a C_b|_F up to about 1e2, orthonormal
+    # complement rows with some rows zeroed, as the kernel masks them
+    rng = np.random.default_rng([k, d, t])
+    m, kk = 6, k * k
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=(2, 3), keepdims=True)
+
+    # |D_a|_F = |C_b|_F = size, so |D_a C_b|_F <= size^2 <= 144
+    size = np.geomspace(0.05, 12.0, m)[:, None, None, None]
+    da, ca = size * unit(cplx(m, d, k, k)), size * unit(cplx(m, d, k, k))
+    dlay = da.transpose(0, 2, 1, 3).reshape(m, k * d, k)
+    clay = ca.transpose(0, 2, 1, 3)
+    q = np.linalg.qr(cplx(m, kk, kk)).Q.transpose(0, 2, 1)[:, :t]
+    comp = q * (np.arange(t) >= np.arange(m)[:, None] % 2)[:, :, None]
+    prods = (da[:, :, None] @ ca[:, None]).reshape(m, d * d, kk)
+    norms = np.linalg.norm(prods, axis=2)
+    assert 30 < norms.max() <= 144
+    want_resid = np.linalg.norm(prods @ comp.conj().transpose(0, 2, 1), axis=2)
+    want_scale = np.maximum(1.0, norms)
+    for path in (checker._residuals_by_contraction, checker._residuals_by_products):
+        resid, scale = path(dlay, clay, comp)
+        np.testing.assert_allclose(resid, want_resid, rtol=1e-12)
+        np.testing.assert_allclose(scale, want_scale, rtol=1e-12)
 
 
 def test_corner_residual_rejects_a_misshapen_idempotent():

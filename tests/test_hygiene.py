@@ -4,7 +4,8 @@ decision and one scalar-group scan in the classifier, single corners tested
 only by certify, trials drawn only by the block cache, and no SVD in the
 checker outside trial blocks and the corner kernel, and no random draw in the
 checker outside the trial sampler, and one basis representation: a basis is
-never re-stacked or split into a list. Also: the package imports
+never re-stacked or split into a list; numpy's private linalg gufuncs are
+reached only in checker._positive_definite. Also: the package imports
 no scipy and no third-party module that pyproject does not declare, and a
 classify request that builds Riesz projections leaves scipy unloaded."""
 
@@ -24,10 +25,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "corneralg"
 MODULES = sorted(SRC.glob("*.py"))
 
 # (module, qualified function) allowed to read Tolerance.rank_eps_factor: the
-# scalar rank policy, its row-wise form, and the validation of the field itself
+# scalar rank policy, its row-wise form, the Gram shift that certifies a full
+# rank under it, and the validation of the field itself
 RANK_FACTOR_READERS = {
     ("matcore", "numerical_rank"),
     ("matcore", "numerical_ranks"),
+    ("matcore", "full_rank_shifts"),
     ("matcore", "Tolerance.__post_init__"),
 }
 
@@ -204,6 +207,28 @@ def test_checker_factors_only_trial_blocks_and_single_corners():
     # and each corner span)
     calls = {where for where, _ in _found(SRC / "checker.py", _calls_np_linalg("svd"))}
     assert calls == {"_factored", "_corner_residual_batch"}, calls
+
+
+def _names_umath_linalg(node):
+    """A name, attribute or import that mentions numpy's private _umath_linalg."""
+    if isinstance(node, ast.Name):
+        return "_umath_linalg" in node.id
+    if isinstance(node, ast.Attribute):
+        return "_umath_linalg" in node.attr
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        return any("_umath_linalg" in name for name in names)
+    return False
+
+
+def test_private_linalg_gufuncs_only_in_positive_definite():
+    # the Cholesky gufunc is private numpy API: one function holds it
+    found = {(path.stem, where) for path in MODULES
+             for where, _ in _found(path, _names_umath_linalg)}
+    assert found == {("checker", "_positive_definite")}, found
+    texts = [path.name for path in MODULES
+             if "_umath_linalg" in path.read_text(encoding="utf-8")]
+    assert texts == ["checker.py"], texts
 
 
 def _imported_modules(tree):
